@@ -150,12 +150,13 @@ fn bench_multi_partition(c: &mut Criterion) {
             &(&w, &spec),
             |b, (w, spec)| {
                 b.iter(|| {
-                    run_scheduler_on(
+                    run_scheduler_on_rerouted(
                         black_box(&w.trace),
                         Policy::Fcfs,
                         Backfill::Easy(RuntimeEstimator::RequestTime),
                         spec,
                         Arc::new(LeastLoaded),
+                        ReroutePolicy::AtSubmission,
                     )
                 })
             },
@@ -167,12 +168,13 @@ fn bench_multi_partition(c: &mut Criterion) {
     let spec = ClusterSpec::from_layout(&w.layout);
     group.bench_function("conservative_earliest_start/2", |b| {
         b.iter(|| {
-            run_scheduler_on(
+            run_scheduler_on_rerouted(
                 black_box(&w.trace),
                 Policy::Fcfs,
                 Backfill::Conservative(RuntimeEstimator::RequestTime),
                 &spec,
                 Arc::new(EarliestStart::default()),
+                ReroutePolicy::AtSubmission,
             )
         })
     });
@@ -185,7 +187,9 @@ fn bench_probe_overhead(c: &mut Criterion) {
     // from the pre-observability baseline) and through a counters-only
     // `Recorder`. The Noop/Recorder gap is the price of telemetry; the
     // Noop/baseline gap must stay ~0 (the CI floor enforces ≤2%).
+    use std::sync::Arc;
     let trace = TracePreset::Lublin1.generate(10_000, TRACE_SEED);
+    let flat = ClusterSpec::homogeneous(trace.cluster_procs());
     let mut group = c.benchmark_group("probe_overhead");
     for (name, backfill) in [
         ("easy", Backfill::Easy(RuntimeEstimator::RequestTime)),
@@ -199,7 +203,16 @@ fn bench_probe_overhead(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("recorder", name), &trace, |b, t| {
             b.iter(|| {
-                run_scheduler_recorded(black_box(t), Policy::Fcfs, backfill, Recorder::default())
+                run_scheduler_probed(
+                    black_box(t),
+                    Policy::Fcfs,
+                    backfill,
+                    &flat,
+                    Arc::new(StaticAffinity),
+                    ReroutePolicy::AtSubmission,
+                    &PlatformEventSpec::default(),
+                    Recorder::default(),
+                )
             })
         });
     }

@@ -23,7 +23,7 @@
 //! same key Table 4/5 use, so subsequent experiments skip retraining;
 //! from-scratch runs do not touch the shared cache.
 
-use bench::{preset_source, print_table, results_dir, write_json, Scale};
+use bench::{agent_checkpoint_path, preset_source, print_table, write_json, Scale};
 use hpcsim::prelude::*;
 use rlbf::{agent_slot, train_from_spec, RlbfAgent};
 use serde::Serialize;
@@ -66,18 +66,11 @@ fn main() {
         eprintln!("  {:.1}s", t0.elapsed().as_secs_f64());
 
         if !from_scratch {
-            // Cache the warm-started agent for Table 4/5 under the shared key.
-            let key = format!(
-                "rlbf-{}-fcfs-e{}t{}j{}o{}",
-                preset.name().to_ascii_lowercase(),
-                scale.epochs,
-                scale.traj_per_epoch,
-                scale.jobs_per_traj,
-                scale.max_obsv_size
-            );
+            // Cache the warm-started agent for Table 4/5 under the shared
+            // key (`cfg` is exactly `scale.train_config(Fcfs)` here).
             let agent = RlbfAgent::from_training(&result, preset.name());
             agent
-                .save(results_dir().join("agents").join(format!("{key}.json")))
+                .save(agent_checkpoint_path(preset, Policy::Fcfs, &scale))
                 .expect("can save checkpoint");
         }
 

@@ -274,7 +274,7 @@ fn load_spec_or_exit(path: &str) -> ScenarioSpec {
 }
 
 /// Runs a spec under the audit probe or exits with the error (agent
-/// specs, non-kernel engines and windows protocols cannot be audited).
+/// specs and windows protocols cannot be audited).
 fn run_audited_or_exit(spec: &ScenarioSpec) -> (RunReport, hpcsim::AuditLog) {
     match hpcsim::scenario::run_audited(spec) {
         Ok(pair) => pair,

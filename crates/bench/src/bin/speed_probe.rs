@@ -3,11 +3,11 @@
 //! by ARCHITECTURE.md and the PR notes.
 //!
 //! "seed" is the full seed cost model preserved in `hpcsim::reference`:
-//! linear-scan engine + naive availability profile + seed pass logic —
-//! selected here as `Engine::SeedNaive` in an otherwise identical
-//! scenario spec, so each probe row is the *same* spec run on two
-//! engines. Both sides realize identical schedules (pinned by the
-//! `event_equivalence` suite), so this measures engines, not algorithms.
+//! linear-scan engine + naive availability profile + seed pass logic,
+//! run through `hpcsim::reference::run_seed_scheduler` on the same trace,
+//! policy and backfilling as the kernel row's spec. Both sides realize
+//! identical schedules (pinned by the `event_equivalence` suite), so this
+//! measures engines, not algorithms.
 //!
 //! ```text
 //! cargo run --release -p bench --bin speed_probe            # quick sizes
@@ -176,47 +176,31 @@ fn main() {
         let trace = source.materialize().expect("preset sources materialize");
         let reps = (20_000 / n).clamp(1, 20);
         for &(label, bf) in &backfills {
-            // The same spec, two engines: only `engine` differs between
-            // the kernel row and the seed-baseline row.
-            let spec = |engine: Engine| {
-                ScenarioSpec::builder(source.clone())
-                    .backfill(bf)
-                    .engine(engine)
-                    .build()
-            };
-            let kernel_spec = spec(Engine::Kernel);
-            let seed_spec = spec(Engine::SeedNaive);
+            let spec = ScenarioSpec::builder(source.clone()).backfill(bf).build();
             let k = if telemetry {
                 time(reps, || {
                     std::hint::black_box(
-                        hpcsim::scenario::execute_recorded(
-                            &trace,
-                            &kernel_spec,
-                            Recorder::default(),
-                        )
-                        .expect("spec runs"),
+                        hpcsim::scenario::execute_recorded(&trace, &spec, Recorder::default())
+                            .expect("spec runs"),
                     );
                 })
             } else {
                 time(reps, || {
                     std::hint::black_box(
-                        hpcsim::scenario::execute(&trace, &kernel_spec).expect("spec runs"),
+                        hpcsim::scenario::execute(&trace, &spec).expect("spec runs"),
                     );
                 })
             };
             if telemetry {
-                telemetry_rows.push(collect_telemetry(
-                    &trace,
-                    &kernel_spec,
-                    preset.name(),
-                    label,
-                ));
+                telemetry_rows.push(collect_telemetry(&trace, &spec, preset.name(), label));
             }
             let s = (seed_feasible && !filtered).then(|| {
                 time(reps.min(3), || {
-                    std::hint::black_box(
-                        hpcsim::scenario::execute(&trace, &seed_spec).expect("spec runs"),
-                    );
+                    std::hint::black_box(hpcsim::reference::run_seed_scheduler(
+                        &trace,
+                        spec.policy,
+                        bf,
+                    ));
                 })
             });
             println!(

@@ -100,19 +100,37 @@ pub fn write_json(name: &str, value: &impl Serialize) {
 /// slot should carry so the committed report names the exact deployed
 /// model.
 pub fn agent_checkpoint_path(preset: TracePreset, base: Policy, scale: &Scale) -> PathBuf {
-    // The feature count is part of the key: a checkpoint trained on a
-    // different observation layout cannot be deployed (matrix dims differ).
-    let key = format!(
-        "rlbf-{}-{}-e{}t{}j{}o{}f{}",
+    let key = agent_checkpoint_key(preset, base, scale);
+    results_dir().join("agents").join(format!("{key}.json"))
+}
+
+/// The checkpoint cache key: preset, policy and observation feature count
+/// in readable form, plus a content hash of everything that determines the
+/// trained weights — the full [`TrainConfig`] (every scale knob, the seed,
+/// and the env/net/PPO/pretrain defaults) and the training trace recipe.
+/// A checkpoint trained on a different observation layout cannot be
+/// deployed (matrix dims differ), hence the explicit feature count.
+fn agent_checkpoint_key(preset: TracePreset, base: Policy, scale: &Scale) -> String {
+    let recipe = format!(
+        "{}\n{}",
+        serde_json::to_string(&scale.train_config(base)).expect("train config serializes"),
+        serde_json::to_string(&preset_source(preset, scale)).expect("trace source serializes"),
+    );
+    format!(
+        "rlbf-{}-{}-f{}-{:016x}",
         preset.name().to_ascii_lowercase(),
         base.name().to_ascii_lowercase(),
-        scale.epochs,
-        scale.traj_per_epoch,
-        scale.jobs_per_traj,
-        scale.max_obsv_size,
-        rlbf::JOB_FEATURES
-    );
-    results_dir().join("agents").join(format!("{key}.json"))
+        rlbf::JOB_FEATURES,
+        fnv1a_64(recipe.as_bytes())
+    )
+}
+
+/// 64-bit FNV-1a: a content hash that is stable across Rust releases
+/// (unlike std's `DefaultHasher`), so cached checkpoints stay addressable.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Trains (or loads a cached) RLBackfilling agent for `preset` with the
@@ -232,6 +250,37 @@ mod tests {
         let (env, net) = obs_configs(48);
         assert_eq!(env.obs, net.obs);
         assert_eq!(env.obs.max_obsv_size, 48);
+    }
+
+    #[test]
+    fn checkpoint_key_covers_trace_size_and_seed() {
+        let base = Scale::quick();
+        let key = |scale: &Scale| agent_checkpoint_key(TracePreset::Lublin1, Policy::Fcfs, scale);
+        assert_eq!(key(&base), key(&Scale::quick()));
+        let fewer_jobs = Scale {
+            trace_jobs: 2000,
+            ..base
+        };
+        let other_seed = Scale { seed: 7, ..base };
+        assert_ne!(key(&base), key(&fewer_jobs));
+        assert_ne!(key(&base), key(&other_seed));
+        assert_ne!(key(&fewer_jobs), key(&other_seed));
+        assert_ne!(
+            key(&base),
+            agent_checkpoint_key(TracePreset::Lublin1, Policy::Sjf, &base)
+        );
+        assert!(
+            key(&base).starts_with("rlbf-lublin-1-fcfs-f"),
+            "{}",
+            key(&base)
+        );
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

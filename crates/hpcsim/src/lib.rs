@@ -23,9 +23,11 @@
 //! the paper's experiment grid (trace source × cluster × router × policy
 //! × backfilling × seeds), and [`scenario::run`] /
 //! [`scenario::run_replicated`] execute it into a uniform
-//! [`scenario::RunReport`]. The free functions [`run_scheduler`] /
-//! [`run_scheduler_on`] remain the low-level seed-pinned engines the
-//! scenario runner drives.
+//! [`scenario::RunReport`]. Underneath, every run is the `desim` kernel
+//! on a [`cluster::ClusterSpec`]: [`run_scheduler`] (the trace's flat
+//! machine), [`run_scheduler_on_rerouted`] (an explicit cluster, router
+//! and reroute policy) and [`run_scheduler_probed`] (plus platform events
+//! and an observability [`Probe`]) are the three low-level entry points.
 //!
 //! The simulator is deterministic: the same trace, policy and estimator
 //! always produce the same schedule.
@@ -73,9 +75,7 @@ pub use observe::{NoopProbe, Phase, Probe, Recorder, Telemetry};
 pub use platform::{FailurePolicy, FailureProcess, PlatformEvent, PlatformEventSpec};
 pub use policy::Policy;
 pub use runner::{
-    run_scheduler, run_scheduler_on, run_scheduler_on_rerouted, run_scheduler_on_rerouted_probed,
-    run_scheduler_on_rerouted_probed_perturbed, run_scheduler_on_rerouted_recorded,
-    run_scheduler_recorded, Backfill, ScheduleResult,
+    run_scheduler, run_scheduler_on_rerouted, run_scheduler_probed, Backfill, ScheduleResult,
 };
 pub use scenario::{
     AgentSlot, Engine, MetricKind, Platform, Protocol, RobustnessReport, RouterSpec, RunReport,
@@ -99,9 +99,7 @@ pub mod prelude {
     pub use crate::platform::{FailurePolicy, FailureProcess, PlatformEvent, PlatformEventSpec};
     pub use crate::policy::Policy;
     pub use crate::runner::{
-        run_scheduler, run_scheduler_on, run_scheduler_on_rerouted,
-        run_scheduler_on_rerouted_probed, run_scheduler_on_rerouted_probed_perturbed,
-        run_scheduler_on_rerouted_recorded, run_scheduler_recorded, Backfill, ScheduleResult,
+        run_scheduler, run_scheduler_on_rerouted, run_scheduler_probed, Backfill, ScheduleResult,
     };
     pub use crate::scenario::{
         self, AgentSlot, Engine, MetricKind, Platform, Protocol, RobustnessReport, RouterSpec,

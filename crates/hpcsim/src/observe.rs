@@ -429,12 +429,11 @@ pub struct RepairRow {
 /// `RunReport.telemetry` when a spec opts in, and pinnable byte-for-byte
 /// (`results/telemetry_table3.json`).
 ///
-/// Serde is hand-written: the original fields serialize unconditionally in
-/// declaration order (byte-identical to the historical derive, so every
-/// committed pin survives), while the platform counters appended for the
-/// dynamic-machine layer are omit-when-zero — a run without platform
-/// events serializes to exactly the pre-layer bytes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Keys serialize in declaration order. The platform counters appended for
+/// the dynamic-machine layer are omitted when zero (and zero when absent),
+/// so a run without platform events serializes to exactly the pre-layer
+/// bytes every committed pin holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Telemetry {
     /// Cluster events executed (arrivals + completions).
     pub events: u64,
@@ -481,12 +480,16 @@ pub struct Telemetry {
     /// Buckets scanned per `earliest_fit` query (log₂ buckets).
     pub bucket_scan_hist: Histogram,
     /// Platform events applied (failures + repairs + drains + resizes).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub platform_events: u64,
     /// Running jobs killed by capacity retractions.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub platform_kills: u64,
     /// Killed/displaced jobs rerouted back into a queue.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub platform_resubmits: u64,
     /// Queued jobs evacuated from draining partitions.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub platform_drain_evacuations: u64,
 }
 
@@ -548,155 +551,6 @@ impl Telemetry {
     /// Parses the committed-snapshot format.
     pub fn from_json(json: &str) -> Result<Self, serde::Error> {
         serde_json::from_str(json)
-    }
-}
-
-impl serde::Serialize for Telemetry {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("events".to_string(), self.events.to_value()),
-            (
-                "heap_depth_peak".to_string(),
-                self.heap_depth_peak.to_value(),
-            ),
-            ("heap_depth_sum".to_string(), self.heap_depth_sum.to_value()),
-            (
-                "backfill_attempts".to_string(),
-                self.backfill_attempts.to_value(),
-            ),
-            ("backfill_hits".to_string(), self.backfill_hits.to_value()),
-            (
-                "backfill_would_delay".to_string(),
-                self.backfill_would_delay.to_value(),
-            ),
-            (
-                "migration_candidates".to_string(),
-                self.migration_candidates.to_value(),
-            ),
-            (
-                "migrations_proposed".to_string(),
-                self.migrations_proposed.to_value(),
-            ),
-            (
-                "migrations_accepted".to_string(),
-                self.migrations_accepted.to_value(),
-            ),
-            (
-                "router_candidate_evals".to_string(),
-                self.router_candidate_evals.to_value(),
-            ),
-            (
-                "router_plan_reuses".to_string(),
-                self.router_plan_reuses.to_value(),
-            ),
-            (
-                "router_plan_rebuilds".to_string(),
-                self.router_plan_rebuilds.to_value(),
-            ),
-            (
-                "router_scratch_fallbacks".to_string(),
-                self.router_scratch_fallbacks.to_value(),
-            ),
-            (
-                "profile_edge_inserts".to_string(),
-                self.profile_edge_inserts.to_value(),
-            ),
-            (
-                "profile_edge_removes".to_string(),
-                self.profile_edge_removes.to_value(),
-            ),
-            (
-                "earliest_fit_calls".to_string(),
-                self.earliest_fit_calls.to_value(),
-            ),
-            (
-                "earliest_fit_buckets_scanned".to_string(),
-                self.earliest_fit_buckets_scanned.to_value(),
-            ),
-            ("plan_repairs".to_string(), self.plan_repairs.to_value()),
-            (
-                "heap_depth_hist".to_string(),
-                self.heap_depth_hist.to_value(),
-            ),
-            (
-                "queue_depth_hist".to_string(),
-                self.queue_depth_hist.to_value(),
-            ),
-            (
-                "repair_len_hist".to_string(),
-                self.repair_len_hist.to_value(),
-            ),
-            (
-                "bucket_scan_hist".to_string(),
-                self.bucket_scan_hist.to_value(),
-            ),
-        ];
-        // Dynamic-platform counters: appended omit-when-zero so pre-layer
-        // snapshots (and every run without platform events) keep their
-        // exact committed bytes.
-        if self.platform_events != 0 {
-            entries.push((
-                "platform_events".to_string(),
-                self.platform_events.to_value(),
-            ));
-        }
-        if self.platform_kills != 0 {
-            entries.push(("platform_kills".to_string(), self.platform_kills.to_value()));
-        }
-        if self.platform_resubmits != 0 {
-            entries.push((
-                "platform_resubmits".to_string(),
-                self.platform_resubmits.to_value(),
-            ));
-        }
-        if self.platform_drain_evacuations != 0 {
-            entries.push((
-                "platform_drain_evacuations".to_string(),
-                self.platform_drain_evacuations.to_value(),
-            ));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl serde::Deserialize for Telemetry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has = |name: &str| matches!(v, serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == name));
-        let opt_u64 = |name: &str| -> Result<u64, serde::Error> {
-            if has(name) {
-                serde::field(v, name)
-            } else {
-                Ok(0)
-            }
-        };
-        Ok(Telemetry {
-            events: serde::field(v, "events")?,
-            heap_depth_peak: serde::field(v, "heap_depth_peak")?,
-            heap_depth_sum: serde::field(v, "heap_depth_sum")?,
-            backfill_attempts: serde::field(v, "backfill_attempts")?,
-            backfill_hits: serde::field(v, "backfill_hits")?,
-            backfill_would_delay: serde::field(v, "backfill_would_delay")?,
-            migration_candidates: serde::field(v, "migration_candidates")?,
-            migrations_proposed: serde::field(v, "migrations_proposed")?,
-            migrations_accepted: serde::field(v, "migrations_accepted")?,
-            router_candidate_evals: serde::field(v, "router_candidate_evals")?,
-            router_plan_reuses: serde::field(v, "router_plan_reuses")?,
-            router_plan_rebuilds: serde::field(v, "router_plan_rebuilds")?,
-            router_scratch_fallbacks: serde::field(v, "router_scratch_fallbacks")?,
-            profile_edge_inserts: serde::field(v, "profile_edge_inserts")?,
-            profile_edge_removes: serde::field(v, "profile_edge_removes")?,
-            earliest_fit_calls: serde::field(v, "earliest_fit_calls")?,
-            earliest_fit_buckets_scanned: serde::field(v, "earliest_fit_buckets_scanned")?,
-            plan_repairs: serde::field(v, "plan_repairs")?,
-            heap_depth_hist: serde::field(v, "heap_depth_hist")?,
-            queue_depth_hist: serde::field(v, "queue_depth_hist")?,
-            repair_len_hist: serde::field(v, "repair_len_hist")?,
-            bucket_scan_hist: serde::field(v, "bucket_scan_hist")?,
-            platform_events: opt_u64("platform_events")?,
-            platform_kills: opt_u64("platform_kills")?,
-            platform_resubmits: opt_u64("platform_resubmits")?,
-            platform_drain_evacuations: opt_u64("platform_drain_evacuations")?,
-        })
     }
 }
 

@@ -152,15 +152,19 @@ impl FailureProcess {
 /// The full platform-event input of a scenario: an explicit event trace,
 /// zero or more generative processes, and the failure policy killed jobs
 /// follow. The default (empty) spec is inert: nothing is scheduled and the
-/// simulation is bitwise identical to a run without the layer.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// simulation is bitwise identical to a run without the layer. Every
+/// field is omitted when default and defaulted when absent.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PlatformEventSpec {
     /// Explicit, replayable events (kept verbatim; ties with generated
     /// events break toward the trace).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub trace: Vec<PlatformEvent>,
     /// Seeded generative failure/repair processes.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub processes: Vec<FailureProcess>,
     /// Fate of jobs running on failed processors.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub failure_policy: FailurePolicy,
 }
 
@@ -216,45 +220,6 @@ impl PlatformEventSpec {
         }
         all.sort_by(|a, b| a.at().total_cmp(&b.at()));
         Ok(all)
-    }
-}
-
-impl Serialize for PlatformEventSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = Vec::new();
-        if !self.trace.is_empty() {
-            entries.push(("trace".to_string(), self.trace.to_value()));
-        }
-        if !self.processes.is_empty() {
-            entries.push(("processes".to_string(), self.processes.to_value()));
-        }
-        if self.failure_policy != FailurePolicy::default() {
-            entries.push(("failure_policy".to_string(), self.failure_policy.to_value()));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl Deserialize for PlatformEventSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has = |name: &str| matches!(v, serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == name));
-        Ok(PlatformEventSpec {
-            trace: if has("trace") {
-                serde::field(v, "trace")?
-            } else {
-                Vec::new()
-            },
-            processes: if has("processes") {
-                serde::field(v, "processes")?
-            } else {
-                Vec::new()
-            },
-            failure_policy: if has("failure_policy") {
-                serde::field(v, "failure_policy")?
-            } else {
-                FailurePolicy::default()
-            },
-        })
     }
 }
 

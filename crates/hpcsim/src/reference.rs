@@ -260,7 +260,7 @@ impl ReferenceSimulation {
 /// Schedules `trace` to completion with the reference engine — the seed's
 /// `run_scheduler` for the `None` backfill case, used by benches and the
 /// equivalence suite. Heuristic passes work on the reference engine through
-/// [`crate::runner::run_scheduler_reference`].
+/// [`run_scheduler_reference`].
 pub fn run_reference_no_backfill(trace: &Trace, policy: Policy) -> Vec<CompletedJob> {
     let mut sim = ReferenceSimulation::new(trace, policy);
     while sim.advance() != SimEvent::Done {}
@@ -440,6 +440,19 @@ pub fn naive_conservative_pass(
         }
     }
     started
+}
+
+/// [`crate::run_scheduler`] on the preserved seed stepping engine
+/// ([`ReferenceSimulation`]) with the shared backfilling passes — the
+/// differential-testing oracle. Same inputs, same schedule (pinned by
+/// `tests/event_equivalence.rs`), linear-scan time advancement.
+pub fn run_scheduler_reference(
+    trace: &Trace,
+    policy: Policy,
+    backfill: crate::runner::Backfill,
+) -> crate::runner::ScheduleResult {
+    let mut sim = ReferenceSimulation::new(trace, policy);
+    crate::runner::drive_to_completion(&mut sim, trace.cluster_procs(), backfill)
 }
 
 /// The full seed cost model: reference engine + naive profile + seed pass

@@ -1,11 +1,11 @@
 //! High-level one-call scheduling runs: trace × policy × backfilling.
 
-use crate::cluster::{ClusterSpec, ReroutePolicy, Router, StaticAffinity};
+use crate::cluster::{ClusterSpec, ReroutePolicy, Router};
 use crate::conservative::conservative_pass;
 use crate::easy::easy_pass;
 use crate::estimator::RuntimeEstimator;
 use crate::metrics::Metrics;
-use crate::observe::Recorder;
+use crate::observe::Probe;
 use crate::policy::Policy;
 use crate::state::{CompletedJob, ProbedSimulation, SimEvent, Simulation};
 use serde::{Deserialize, Serialize};
@@ -69,61 +69,21 @@ pub struct ScheduleResult {
 }
 
 /// Schedules `trace` to completion under `policy` + `backfill` and returns
-/// the realized schedule. Deterministic. Runs on the `desim` event kernel.
+/// the realized schedule. Deterministic. Runs on the `desim` event kernel
+/// over the trace's homogeneous machine.
 pub fn run_scheduler(trace: &Trace, policy: Policy, backfill: Backfill) -> ScheduleResult {
     let mut sim = Simulation::new(trace, policy);
     drive_to_completion(&mut sim, trace.cluster_procs(), backfill)
 }
 
-/// [`run_scheduler`] with a [`Recorder`] probe threaded through the run:
-/// same schedule bitwise, plus the collected telemetry (counters,
-/// histograms, and — if the recorder was built with
-/// [`Recorder::with_spans`] — a span trace of the simulation phases).
-pub fn run_scheduler_recorded(
-    trace: &Trace,
-    policy: Policy,
-    backfill: Backfill,
-    recorder: Recorder,
-) -> (ScheduleResult, Recorder) {
-    run_scheduler_on_rerouted_recorded(
-        trace,
-        policy,
-        backfill,
-        &ClusterSpec::homogeneous(trace.cluster_procs()),
-        Arc::new(StaticAffinity), // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-        ReroutePolicy::AtSubmission,
-        recorder,
-    )
-}
-
 /// [`run_scheduler`] on an explicit cluster shape: `router` assigns each
-/// arriving job to a partition of `spec`, and the backfilling heuristic
-/// acts per-partition at every decision point. With
+/// arriving job to a partition of `spec`, the backfilling heuristic acts
+/// per-partition at every decision point, and under
+/// [`ReroutePolicy::AtDecisionPoints`] the router revisits still-waiting
+/// jobs at every settled event batch. With
 /// [`ClusterSpec::homogeneous`]`(trace.cluster_procs())` this realizes the
 /// identical schedule as [`run_scheduler`] (pinned by the equivalence
 /// suite), regardless of the router.
-pub fn run_scheduler_on(
-    trace: &Trace,
-    policy: Policy,
-    backfill: Backfill,
-    spec: &ClusterSpec,
-    router: Arc<dyn Router>, // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-) -> ScheduleResult {
-    run_scheduler_on_rerouted(
-        trace,
-        policy,
-        backfill,
-        spec,
-        router,
-        ReroutePolicy::AtSubmission,
-    )
-}
-
-/// [`run_scheduler_on`] under an explicit [`ReroutePolicy`]: with
-/// [`ReroutePolicy::AtDecisionPoints`] the router revisits still-waiting
-/// jobs at every settled event batch and migrates them to partitions with
-/// strictly earlier estimated starts. `AtSubmission` is exactly
-/// [`run_scheduler_on`] (bitwise).
 pub fn run_scheduler_on_rerouted(
     trace: &Trace,
     policy: Policy,
@@ -137,57 +97,17 @@ pub fn run_scheduler_on_rerouted(
     drive_to_completion(&mut sim, total, backfill)
 }
 
-/// [`run_scheduler_on_rerouted`] with a [`Recorder`] probe — the fully
-/// general recorded run every telemetry consumer funnels into.
+/// The fully general run: [`run_scheduler_on_rerouted`] under a dynamic
+/// machine, threaded through an arbitrary [`Probe`]. `events` is installed
+/// before the drive, so node failures, drains, and resizes fire alongside
+/// arrivals and completions; an empty
+/// [`crate::platform::PlatformEventSpec`] installs nothing. With a
+/// [`crate::observe::Recorder`] this is telemetry collection, with an
+/// [`crate::observe::audit::AuditProbe`] decision forensics; the realized
+/// schedule is bitwise the unprobed one either way. Errors only on an
+/// invalid event spec (bad rates, out-of-range partitions).
 #[allow(clippy::too_many_arguments)]
-pub fn run_scheduler_on_rerouted_recorded(
-    trace: &Trace,
-    policy: Policy,
-    backfill: Backfill,
-    spec: &ClusterSpec,
-    router: Arc<dyn Router>, // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-    reroute: ReroutePolicy,
-    recorder: Recorder,
-) -> (ScheduleResult, Recorder) {
-    run_scheduler_on_rerouted_probed(trace, policy, backfill, spec, router, reroute, recorder)
-}
-
-/// [`run_scheduler_on_rerouted`] threaded through an arbitrary
-/// [`crate::observe::Probe`] — the fully general instrumented run. With a
-/// [`Recorder`] this is telemetry collection; with an
-/// [`crate::observe::audit::AuditProbe`] it is decision forensics. The
-/// realized schedule is bitwise identical to the unprobed run either way.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheduler_on_rerouted_probed<P: crate::observe::Probe>(
-    trace: &Trace,
-    policy: Policy,
-    backfill: Backfill,
-    spec: &ClusterSpec,
-    router: Arc<dyn Router>, // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-    reroute: ReroutePolicy,
-    probe: P,
-) -> (ScheduleResult, P) {
-    let total = spec.total_procs();
-    let mut sim = ProbedSimulation::with_cluster_rerouted_probed(
-        trace,
-        policy,
-        spec.clone(),
-        router,
-        reroute,
-        probe,
-    );
-    let result = drive_to_completion(&mut sim, total, backfill);
-    (result, sim.into_probe())
-}
-
-/// [`run_scheduler_on_rerouted_probed`] under a dynamic machine: `events`
-/// is installed on the simulation before the drive, so node failures,
-/// drains, and resizes fire alongside arrivals and completions. With an
-/// empty [`crate::platform::PlatformEventSpec`] this is bitwise
-/// [`run_scheduler_on_rerouted_probed`] (nothing is scheduled or checked).
-/// Errors only on an invalid spec (bad rates, out-of-range partitions).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheduler_on_rerouted_probed_perturbed<P: crate::observe::Probe>(
+pub fn run_scheduler_probed<P: Probe>(
     trace: &Trace,
     policy: Policy,
     backfill: Backfill,
@@ -211,22 +131,9 @@ pub fn run_scheduler_on_rerouted_probed_perturbed<P: crate::observe::Probe>(
     Ok((result, sim.into_probe()))
 }
 
-/// [`run_scheduler`] on the preserved seed stepping engine
-/// ([`crate::reference::ReferenceSimulation`]) — the differential-testing
-/// oracle and the benchmark baseline. Same inputs, same schedule (pinned
-/// by `tests/event_equivalence.rs`), linear-scan time advancement.
-pub fn run_scheduler_reference(
-    trace: &Trace,
-    policy: Policy,
-    backfill: Backfill,
-) -> ScheduleResult {
-    let mut sim = crate::reference::ReferenceSimulation::new(trace, policy);
-    drive_to_completion(&mut sim, trace.cluster_procs(), backfill)
-}
-
 /// The shared driver loop: run any [`BackfillSim`] to completion, applying
 /// the selected heuristic at every decision point.
-fn drive_to_completion<S: crate::state::BackfillSim>(
+pub(crate) fn drive_to_completion<S: crate::state::BackfillSim>(
     sim: &mut S,
     cluster_procs: u32,
     backfill: Backfill,

@@ -13,8 +13,6 @@
 //! * a base [`Policy`] and a [`SchedulerSpec`] — either a heuristic
 //!   [`Backfill`] or an [`AgentSlot`] naming an RL decision-maker (the
 //!   `rlbf` crate interprets that slot; this crate only carries it);
-//! * an [`Engine`] (the `desim` kernel, or the preserved seed engines for
-//!   differential baselines);
 //! * an evaluation [`Protocol`] — the whole trace, or the paper's §4.3
 //!   sampled-windows protocol;
 //! * replication `seeds` and a [`MetricKind`] selection.
@@ -23,10 +21,13 @@
 //! label derived from the spec, aggregate [`Metrics`], optional per-job
 //! schedule, the spec embedded for provenance), and [`run_replicated`]
 //! fans the spec's seeds out across threads with [`desim::Replicator`].
-//! The old free functions [`run_scheduler`] / [`run_scheduler_on`] remain
-//! as the seed-pinned execution engines underneath; the equivalence suite
-//! (`tests/scenario_equivalence.rs`) pins `scenario::run` bitwise to them
-//! so the redesign cannot drift.
+//! Every heuristic run takes one path: the spec's platform resolves to a
+//! [`ClusterSpec`] (the degenerate homogeneous one for flat specs) and the
+//! `desim` kernel runs on it with the probe the spec's observability flags
+//! call for. The equivalence suite (`tests/scenario_equivalence.rs`) pins
+//! `scenario::run` bitwise to the low-level [`crate::run_scheduler`] /
+//! [`crate::run_scheduler_on_rerouted`] entry points so the redesign
+//! cannot drift.
 //!
 //! ```
 //! use hpcsim::scenario::{self, ScenarioSpec};
@@ -56,13 +57,9 @@ use crate::cluster::{
 use crate::estimator::RuntimeEstimator;
 use crate::metrics::Metrics;
 use crate::observe::audit::{AuditLog, AuditProbe, WaitAttribution};
-use crate::observe::{Recorder, Telemetry};
+use crate::observe::{NoopProbe, Probe, Recorder, Telemetry};
 use crate::policy::Policy;
-use crate::runner::{
-    run_scheduler, run_scheduler_on_rerouted_probed, run_scheduler_on_rerouted_probed_perturbed,
-    run_scheduler_on_rerouted_recorded, run_scheduler_recorded, run_scheduler_reference, Backfill,
-    ScheduleResult,
-};
+use crate::runner::{run_scheduler_probed, Backfill, ScheduleResult};
 use crate::state::CompletedJob;
 use desim::Replicator;
 use rand::rngs::SmallRng;
@@ -119,7 +116,11 @@ impl RouterSpec {
 /// the degenerate shape that realizes bitwise-identical schedules to the
 /// flat engine regardless of the router (and of the reroute policy, which
 /// is inert with a single partition).
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// `reroute` is omitted when default and defaulted when absent, so spec
+/// and report files written before migration landed keep parsing and keep
+/// their committed bytes.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Platform {
     /// Explicit cluster shape, or `None` for the trace's flat machine.
     pub cluster: Option<ClusterSpec>,
@@ -127,40 +128,8 @@ pub struct Platform {
     pub router: RouterSpec,
     /// When the meta-scheduler revisits waiting jobs' partitions
     /// ([`ReroutePolicy::AtSubmission`], the default, never does).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub reroute: ReroutePolicy,
-}
-
-// Hand-written serde (instead of the derive) so the `reroute` field is
-// **omitted when default** and **defaulted when absent**: every spec and
-// report file committed before migration landed keeps parsing, and
-// at-submission specs keep serializing to the identical bytes the
-// reproduce pins (`tests/scenario_reproduce.rs`) compare against.
-impl Serialize for Platform {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("cluster".to_string(), self.cluster.to_value()),
-            ("router".to_string(), self.router.to_value()),
-        ];
-        if self.reroute != ReroutePolicy::default() {
-            entries.push(("reroute".to_string(), self.reroute.to_value()));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl Deserialize for Platform {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has_reroute = matches!(v, serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "reroute"));
-        Ok(Platform {
-            cluster: serde::field(v, "cluster")?,
-            router: serde::field(v, "router")?,
-            reroute: if has_reroute {
-                serde::field(v, "reroute")?
-            } else {
-                ReroutePolicy::default()
-            },
-        })
-    }
 }
 
 impl Platform {
@@ -217,20 +186,15 @@ impl Platform {
     }
 }
 
-/// Which simulation engine executes the schedule.
+/// The simulation engine a spec names. Every scenario runs on the `desim`
+/// event kernel; the field stays in the spec so committed spec and report
+/// files keep their `"engine": "Kernel"` bytes. The preserved seed engines
+/// are differential oracles in [`crate::reference`], not scenario inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
-    /// The production `desim` event-kernel engine (the default).
+    /// The production `desim` event-kernel engine.
     #[default]
     Kernel,
-    /// The preserved seed stepping engine with the shared backfilling
-    /// passes ([`run_scheduler_reference`]); flat platforms only.
-    Reference,
-    /// The full seed cost model (seed engine with the naive availability
-    /// profile and seed pass logic,
-    /// [`crate::reference::run_seed_scheduler`]): the benchmark baseline;
-    /// flat platforms only.
-    SeedNaive,
 }
 
 /// The decision-maker slot of a scenario: either a heuristic backfilling
@@ -352,7 +316,11 @@ impl MetricKind {
 }
 
 /// One cell of the experiment grid, as serializable data.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `telemetry`, `audit` and `events` are omitted when off and defaulted
+/// when absent, so spec files written before those layers existed keep
+/// parsing and keep their committed bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Optional label override; [`Self::label`] derives one when absent.
     pub name: Option<String>,
@@ -364,7 +332,7 @@ pub struct ScenarioSpec {
     pub policy: Policy,
     /// The backfilling decision-maker.
     pub scheduler: SchedulerSpec,
-    /// Which simulation engine executes the run.
+    /// The simulation engine (always the kernel).
     pub engine: Engine,
     /// Whole-trace or sampled-windows evaluation.
     pub protocol: Protocol,
@@ -376,105 +344,28 @@ pub struct ScenarioSpec {
     /// (whole-trace heuristic runs only).
     pub record_schedule: bool,
     /// Whether the run collects deterministic telemetry counters (see
-    /// [`crate::observe`]) into [`RunReport::telemetry`]. Kernel engine
-    /// only; the schedule itself is bitwise unaffected.
+    /// [`crate::observe`]) into [`RunReport::telemetry`]. The schedule
+    /// itself is bitwise unaffected.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub telemetry: bool,
     /// Whether the run collects the decision-forensics audit log (see
     /// [`crate::observe::audit`]) and attaches its aggregate wait-cause
-    /// attribution to [`RunReport::attribution`]. Kernel engine only; the
-    /// schedule itself is bitwise unaffected.
+    /// attribution to [`RunReport::attribution`]. The schedule itself is
+    /// bitwise unaffected.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub audit: bool,
     /// Dynamic-machine platform events (node failures/repairs, drains,
     /// resizes) applied during the run — see [`crate::platform`]. The
     /// empty default is inert: nothing is scheduled and the run is bitwise
-    /// identical to a spec without the field. Kernel engine only when
-    /// non-empty.
+    /// identical to a spec without the field.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub events: crate::platform::PlatformEventSpec,
-}
-
-// Hand-written serde (like [`Platform`]'s): `telemetry` and `audit` are
-// omitted when false and defaulted when absent, so every spec file
-// committed before the observability layers landed keeps parsing, and
-// telemetry-/audit-off specs keep serializing to the identical bytes the
-// reproduce pins compare against.
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("trace".to_string(), self.trace.to_value()),
-            ("platform".to_string(), self.platform.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            ("scheduler".to_string(), self.scheduler.to_value()),
-            ("engine".to_string(), self.engine.to_value()),
-            ("protocol".to_string(), self.protocol.to_value()),
-            ("seeds".to_string(), self.seeds.to_value()),
-            ("metrics".to_string(), self.metrics.to_value()),
-            (
-                "record_schedule".to_string(),
-                self.record_schedule.to_value(),
-            ),
-        ];
-        if self.telemetry {
-            entries.push(("telemetry".to_string(), self.telemetry.to_value()));
-        }
-        if self.audit {
-            entries.push(("audit".to_string(), self.audit.to_value()));
-        }
-        if self.events != crate::platform::PlatformEventSpec::default() {
-            entries.push(("events".to_string(), self.events.to_value()));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has_telemetry = matches!(
-            v,
-            serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "telemetry")
-        );
-        let has_audit = matches!(
-            v,
-            serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "audit")
-        );
-        let has_events = matches!(
-            v,
-            serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "events")
-        );
-        Ok(ScenarioSpec {
-            name: serde::field(v, "name")?,
-            trace: serde::field(v, "trace")?,
-            platform: serde::field(v, "platform")?,
-            policy: serde::field(v, "policy")?,
-            scheduler: serde::field(v, "scheduler")?,
-            engine: serde::field(v, "engine")?,
-            protocol: serde::field(v, "protocol")?,
-            seeds: serde::field(v, "seeds")?,
-            metrics: serde::field(v, "metrics")?,
-            record_schedule: serde::field(v, "record_schedule")?,
-            telemetry: if has_telemetry {
-                serde::field(v, "telemetry")?
-            } else {
-                false
-            },
-            audit: if has_audit {
-                serde::field(v, "audit")?
-            } else {
-                false
-            },
-            events: if has_events {
-                serde::field(v, "events")?
-            } else {
-                crate::platform::PlatformEventSpec::default()
-            },
-        })
-    }
 }
 
 impl ScenarioSpec {
     /// Starts a builder over the given trace source with experiment
-    /// defaults: flat platform, FCFS, EASY(request time), kernel engine,
-    /// whole-trace protocol.
+    /// defaults: flat platform, FCFS, EASY(request time), whole-trace
+    /// protocol.
     pub fn builder(trace: TraceSource) -> ScenarioBuilder {
         ScenarioBuilder {
             spec: ScenarioSpec {
@@ -612,12 +503,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the simulation engine.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.spec.engine = engine;
-        self
-    }
-
     /// Uses the sampled-windows evaluation protocol.
     pub fn windows(mut self, samples: usize, window_len: usize, seed: u64) -> Self {
         self.spec.protocol = Protocol::Windows {
@@ -646,24 +531,21 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Collects deterministic telemetry counters into the report (kernel
-    /// engine only).
+    /// Collects deterministic telemetry counters into the report.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
         self.spec.telemetry = telemetry;
         self
     }
 
     /// Collects the decision-forensics audit log and attaches its
-    /// aggregate wait-cause attribution to the report (kernel engine
-    /// only).
+    /// aggregate wait-cause attribution to the report.
     pub fn audit(mut self, audit: bool) -> Self {
         self.spec.audit = audit;
         self
     }
 
     /// Applies a dynamic-machine platform-event stream to the run (node
-    /// failures/repairs, drains, resizes — kernel engine only when
-    /// non-empty).
+    /// failures/repairs, drains, resizes).
     pub fn events(mut self, events: crate::platform::PlatformEventSpec) -> Self {
         self.spec.events = events;
         self
@@ -685,7 +567,11 @@ pub struct SelectedMetric {
 }
 
 /// The uniform outcome of executing one scenario.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `dropped_jobs` is omitted when 0 and the optional sections when
+/// `None` (each defaulted when absent), so reports written before those
+/// fields existed keep parsing and keep their committed bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Canonical label derived from the spec ([`ScenarioSpec::label`]).
     pub label: String,
@@ -699,6 +585,7 @@ pub struct RunReport {
     /// scheduled: `metrics` describes `jobs` completions, **not** the
     /// whole trace, whenever this is nonzero (summed across windows under
     /// [`Protocol::Windows`]; always 0 on flat platforms).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub dropped_jobs: usize,
     /// Aggregate metrics (field-wise mean across windows).
     pub metrics: Metrics,
@@ -711,21 +598,24 @@ pub struct RunReport {
     pub spec: ScenarioSpec,
     /// Deterministic run telemetry (counters + histograms), present only
     /// when the spec asked for it ([`ScenarioSpec::telemetry`]).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub telemetry: Option<Telemetry>,
     /// Aggregate wait-cause attribution from the decision-forensics audit
     /// log, present only when the spec asked for it
     /// ([`ScenarioSpec::audit`]). Summed across windows under
     /// [`Protocol::Windows`].
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub attribution: Option<WaitAttribution>,
     /// Robustness accounting, present only when the spec carries platform
     /// events ([`ScenarioSpec::events`]). Summed across windows under
     /// [`Protocol::Windows`].
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub robustness: Option<RobustnessReport>,
 }
 
 /// Robustness accounting for a run perturbed by platform events: what the
 /// failures/drains/resizes cost the schedule.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessReport {
     /// Running jobs killed by capacity loss.
     pub kills: usize,
@@ -737,118 +627,9 @@ pub struct RobustnessReport {
     /// Mean bounded slowdown of this run minus the same spec run with the
     /// event stream stripped — how much the perturbation degraded the
     /// schedule. Mean of per-window deltas under [`Protocol::Windows`].
+    /// Omitted when `None`, so no report carries a null placeholder.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub bsld_degradation: Option<f64>,
-}
-
-// Hand-written serde (the [`RunReport`] pattern): `bsld_degradation` is
-// omitted when `None` so reports without a baseline comparison carry no
-// null placeholder.
-impl Serialize for RobustnessReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("kills".to_string(), self.kills.to_value()),
-            ("resubmits".to_string(), self.resubmits.to_value()),
-            (
-                "wasted_node_seconds".to_string(),
-                self.wasted_node_seconds.to_value(),
-            ),
-        ];
-        if let Some(d) = self.bsld_degradation {
-            entries.push(("bsld_degradation".to_string(), d.to_value()));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl Deserialize for RobustnessReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has_degradation = matches!(
-            v,
-            serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "bsld_degradation")
-        );
-        Ok(RobustnessReport {
-            kills: serde::field(v, "kills")?,
-            resubmits: serde::field(v, "resubmits")?,
-            wasted_node_seconds: serde::field(v, "wasted_node_seconds")?,
-            bsld_degradation: if has_degradation {
-                Some(serde::field(v, "bsld_degradation")?)
-            } else {
-                None
-            },
-        })
-    }
-}
-
-// Hand-written serde (like [`Platform`]'s): `dropped_jobs` is omitted
-// when 0 and defaulted when absent, and `telemetry` / `attribution` are
-// omitted when `None`, so reports written before these fields existed
-// keep parsing and telemetry-/audit-free reports keep their committed
-// bytes.
-impl Serialize for RunReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("label".to_string(), self.label.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("jobs".to_string(), self.jobs.to_value()),
-        ];
-        if self.dropped_jobs > 0 {
-            entries.push(("dropped_jobs".to_string(), self.dropped_jobs.to_value()));
-        }
-        entries.push(("metrics".to_string(), self.metrics.to_value()));
-        entries.push(("selected".to_string(), self.selected.to_value()));
-        entries.push(("schedule".to_string(), self.schedule.to_value()));
-        entries.push(("spec".to_string(), self.spec.to_value()));
-        if let Some(t) = &self.telemetry {
-            entries.push(("telemetry".to_string(), t.to_value()));
-        }
-        if let Some(a) = &self.attribution {
-            entries.push(("attribution".to_string(), a.to_value()));
-        }
-        if let Some(r) = &self.robustness {
-            entries.push(("robustness".to_string(), r.to_value()));
-        }
-        serde::Value::Object(entries)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let has = |name: &str| {
-            matches!(
-                v,
-                serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == name)
-            )
-        };
-        Ok(RunReport {
-            label: serde::field(v, "label")?,
-            seed: serde::field(v, "seed")?,
-            jobs: serde::field(v, "jobs")?,
-            dropped_jobs: if has("dropped_jobs") {
-                serde::field(v, "dropped_jobs")?
-            } else {
-                0
-            },
-            metrics: serde::field(v, "metrics")?,
-            selected: serde::field(v, "selected")?,
-            schedule: serde::field(v, "schedule")?,
-            spec: serde::field(v, "spec")?,
-            telemetry: if has("telemetry") {
-                Some(serde::field(v, "telemetry")?)
-            } else {
-                None
-            },
-            attribution: if has("attribution") {
-                Some(serde::field(v, "attribution")?)
-            } else {
-                None
-            },
-            robustness: if has("robustness") {
-                Some(serde::field(v, "robustness")?)
-            } else {
-                None
-            },
-        })
-    }
 }
 
 impl RunReport {
@@ -881,16 +662,6 @@ pub enum ScenarioError {
     /// The spec names an external agent; execute it through the crate
     /// that owns the decision logic (`rlbf::scenario::run_spec`).
     NeedsAgent,
-    /// The seed engines only model flat machines.
-    ReferenceNeedsFlat,
-    /// Telemetry collection is only instrumented on the kernel engine.
-    TelemetryNeedsKernel,
-    /// The decision-forensics audit hooks are only threaded through the
-    /// kernel engine.
-    AuditNeedsKernel,
-    /// Dynamic-machine platform events are only applied by the kernel
-    /// engine.
-    PlatformEventsNeedKernel,
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -902,25 +673,6 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "spec schedules with an external agent; run it through the RL crate's \
                  scenario bridge (rlbf::scenario::run_spec)"
-            ),
-            ScenarioError::ReferenceNeedsFlat => write!(
-                f,
-                "the seed reference engines only model flat (single-partition, speed-1) machines"
-            ),
-            ScenarioError::TelemetryNeedsKernel => write!(
-                f,
-                "telemetry collection requires the kernel engine (the probe hooks are not \
-                 threaded through the preserved seed engines)"
-            ),
-            ScenarioError::AuditNeedsKernel => write!(
-                f,
-                "audit collection requires the kernel engine (the decision-forensics hooks \
-                 are not threaded through the preserved seed engines)"
-            ),
-            ScenarioError::PlatformEventsNeedKernel => write!(
-                f,
-                "platform events (failures/drains/resizes) require the kernel engine (the \
-                 preserved seed engines model a static machine)"
             ),
         }
     }
@@ -1027,21 +779,15 @@ pub fn materialize(
 }
 
 /// Executes one already-materialized trace (or window) on the spec's
-/// engine and platform — the engine step alone, with no trace
-/// generation, window sampling or report assembly. Public for callers
-/// that need to time or drive the engines over a shared trace (the
-/// `speed_probe` binary) without hand-rolled dispatch.
+/// platform — the kernel step alone, with no trace generation, window
+/// sampling or report assembly. Public for callers that time the kernel
+/// over a shared trace (the `speed_probe` binary).
 pub fn execute(trace: &Trace, spec: &ScenarioSpec) -> Result<ScheduleResult, ScenarioError> {
-    let backfill = match &spec.scheduler {
-        SchedulerSpec::Heuristic(b) => *b,
-        SchedulerSpec::Agent(_) => return Err(ScenarioError::NeedsAgent),
-    };
-    run_once(trace, spec, backfill)
+    run_once(trace, spec, heuristic(spec)?, NoopProbe).map(|(r, _)| r)
 }
 
 /// [`execute`] with a [`Recorder`] probe threaded through the run: same
-/// schedule bitwise, plus the collected telemetry. Kernel engine only
-/// (the reference engines are not instrumented) — this is what
+/// schedule bitwise, plus the collected telemetry. This is what
 /// `speed_probe --telemetry` times, so the probe's overhead is measured
 /// on exactly the path `execute` takes.
 pub fn execute_recorded(
@@ -1049,202 +795,133 @@ pub fn execute_recorded(
     spec: &ScenarioSpec,
     recorder: Recorder,
 ) -> Result<(ScheduleResult, Recorder), ScenarioError> {
-    let backfill = match &spec.scheduler {
-        SchedulerSpec::Heuristic(b) => *b,
-        SchedulerSpec::Agent(_) => return Err(ScenarioError::NeedsAgent),
+    run_once(trace, spec, heuristic(spec)?, recorder)
+}
+
+/// The spec's heuristic backfilling strategy ([`ScenarioError::NeedsAgent`]
+/// for agent slots, which the RL crate executes).
+fn heuristic(spec: &ScenarioSpec) -> Result<Backfill, ScenarioError> {
+    match &spec.scheduler {
+        SchedulerSpec::Heuristic(b) => Ok(*b),
+        SchedulerSpec::Agent(_) => Err(ScenarioError::NeedsAgent),
+    }
+}
+
+/// Executes one trace (or window) on the kernel with `probe` threaded
+/// through — the one run path every heuristic scenario takes. The
+/// platform resolves to the spec's explicit cluster, router and reroute
+/// policy, or for flat specs to the degenerate homogeneous cluster under
+/// at-submission affinity routing (bitwise the flat machine, pinned by the
+/// equivalence suite). The spec's platform events are installed first; an
+/// empty event spec installs nothing.
+fn run_once<P: Probe>(
+    trace: &Trace,
+    spec: &ScenarioSpec,
+    backfill: Backfill,
+    probe: P,
+) -> Result<(ScheduleResult, P), ScenarioError> {
+    let homogeneous;
+    let (cluster, router, reroute) = match &spec.platform.cluster {
+        Some(cluster) => (cluster, spec.platform.router.build(), spec.platform.reroute),
+        None => {
+            homogeneous = ClusterSpec::homogeneous(trace.cluster_procs());
+            (
+                &homogeneous,
+                RouterSpec::Affinity.build(),
+                ReroutePolicy::AtSubmission,
+            )
+        }
     };
-    run_once_recorded(trace, spec, backfill, recorder)
+    run_scheduler_probed(
+        trace,
+        spec.policy,
+        backfill,
+        cluster,
+        router,
+        reroute,
+        &spec.events,
+        probe,
+    )
+    .map_err(|e| ScenarioError::Spec(format!("platform events: {e}")))
 }
 
-/// Resolves the platform a perturbed (platform-event-carrying) run
-/// executes on: the explicit cluster, or the degenerate homogeneous one
-/// for flat specs — which realizes the identical schedule (pinned by the
-/// equivalence suite), so the event layer has one machine model to act
-/// on.
-fn perturbed_platform(
-    trace: &Trace,
-    spec: &ScenarioSpec,
-    // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-) -> (ClusterSpec, Arc<dyn Router>, ReroutePolicy) {
-    match &spec.platform.cluster {
-        Some(cluster) => (
-            cluster.clone(),
-            spec.platform.router.build(),
-            spec.platform.reroute,
-        ),
-        None => (
-            ClusterSpec::homogeneous(trace.cluster_procs()),
-            Arc::new(StaticAffinity), // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-            ReroutePolicy::AtSubmission,
-        ),
-    }
+/// What one run of a trace (or window) under the spec's observability
+/// flags yields: the schedule, the telemetry and wait-cause attribution
+/// the spec asked for, and — when the spec carries platform events — the
+/// bsld degradation against the same run with the events stripped.
+struct Observed {
+    r: ScheduleResult,
+    telemetry: Option<Telemetry>,
+    attribution: Option<WaitAttribution>,
+    degradation: Option<f64>,
 }
 
-/// Executes one trace (or window) on the spec's engine and platform.
-fn run_once(
-    trace: &Trace,
-    spec: &ScenarioSpec,
-    backfill: Backfill,
-) -> Result<ScheduleResult, ScenarioError> {
-    if !spec.events.is_empty() {
-        if spec.engine != Engine::Kernel {
-            return Err(ScenarioError::PlatformEventsNeedKernel);
-        }
-        let (cluster, router, reroute) = perturbed_platform(trace, spec);
-        let (r, _) = run_scheduler_on_rerouted_probed_perturbed(
-            trace,
-            spec.policy,
-            backfill,
-            &cluster,
-            router,
-            reroute,
-            &spec.events,
-            crate::observe::NoopProbe,
-        )
-        .map_err(|e| ScenarioError::Spec(format!("platform events: {e}")))?;
-        return Ok(r);
-    }
-    match (spec.engine, &spec.platform.cluster) {
-        (Engine::Kernel, None) => Ok(run_scheduler(trace, spec.policy, backfill)),
-        (Engine::Kernel, Some(cluster)) => Ok(crate::runner::run_scheduler_on_rerouted(
-            trace,
-            spec.policy,
-            backfill,
-            cluster,
-            spec.platform.router.build(),
-            spec.platform.reroute,
-        )),
-        (Engine::Reference, None) => Ok(run_scheduler_reference(trace, spec.policy, backfill)),
-        (Engine::SeedNaive, None) => Ok(crate::reference::run_seed_scheduler(
-            trace,
-            spec.policy,
-            backfill,
-        )),
-        (Engine::Reference | Engine::SeedNaive, Some(_)) => Err(ScenarioError::ReferenceNeedsFlat),
-    }
-}
-
-/// [`run_once`] with a [`Recorder`] probe threaded through the kernel
-/// engine: same schedule bitwise, plus the run's telemetry. Only the
-/// kernel engine is instrumented.
-fn run_once_recorded(
+/// Runs `trace` once under the spec's flags. The probe type is chosen
+/// here so the plain path stays on the zero-cost [`NoopProbe`]; the audit
+/// probe embeds a telemetry recorder, so one audited run serves both
+/// report fields.
+fn run_observed(
     trace: &Trace,
     spec: &ScenarioSpec,
     backfill: Backfill,
-    recorder: Recorder,
-) -> Result<(ScheduleResult, Recorder), ScenarioError> {
-    if !spec.events.is_empty() {
-        if spec.engine != Engine::Kernel {
-            return Err(ScenarioError::PlatformEventsNeedKernel);
-        }
-        let (cluster, router, reroute) = perturbed_platform(trace, spec);
-        return run_scheduler_on_rerouted_probed_perturbed(
-            trace,
-            spec.policy,
-            backfill,
-            &cluster,
-            router,
-            reroute,
-            &spec.events,
-            recorder,
-        )
-        .map_err(|e| ScenarioError::Spec(format!("platform events: {e}")));
-    }
-    match (spec.engine, &spec.platform.cluster) {
-        (Engine::Kernel, None) => Ok(run_scheduler_recorded(
-            trace,
-            spec.policy,
-            backfill,
-            recorder,
-        )),
-        (Engine::Kernel, Some(cluster)) => Ok(run_scheduler_on_rerouted_recorded(
-            trace,
-            spec.policy,
-            backfill,
-            cluster,
-            spec.platform.router.build(),
-            spec.platform.reroute,
-            recorder,
-        )),
-        (Engine::Reference | Engine::SeedNaive, _) => Err(ScenarioError::TelemetryNeedsKernel),
-    }
+) -> Result<Observed, ScenarioError> {
+    let (r, telemetry, attribution) = if spec.audit {
+        let (r, probe) = run_once(trace, spec, backfill, AuditProbe::new())?;
+        let (log, tel) = probe.into_log_and_telemetry();
+        (r, spec.telemetry.then_some(tel), Some(log.attribution()))
+    } else if spec.telemetry {
+        let (r, rec) = run_once(trace, spec, backfill, Recorder::default())?;
+        (r, Some(rec.into_telemetry()), None)
+    } else {
+        (run_once(trace, spec, backfill, NoopProbe)?.0, None, None)
+    };
+    let degradation = bsld_degradation(trace, spec, backfill, &r)?;
+    Ok(Observed {
+        r,
+        telemetry,
+        attribution,
+        degradation,
+    })
 }
 
-/// [`run_once`] with an [`AuditProbe`] threaded through the kernel
-/// engine: same schedule bitwise, plus the run's decision-forensics log
-/// (and the probe's embedded telemetry). Only the kernel engine is
-/// instrumented. Flat platforms run through the degenerate homogeneous
-/// cluster, which realizes the identical schedule (pinned by the
-/// equivalence suite).
-fn run_once_audited(
-    trace: &Trace,
-    spec: &ScenarioSpec,
-    backfill: Backfill,
-) -> Result<(ScheduleResult, AuditProbe), ScenarioError> {
-    if !spec.events.is_empty() {
-        if spec.engine != Engine::Kernel {
-            return Err(ScenarioError::PlatformEventsNeedKernel);
-        }
-        let (cluster, router, reroute) = perturbed_platform(trace, spec);
-        return run_scheduler_on_rerouted_probed_perturbed(
-            trace,
-            spec.policy,
-            backfill,
-            &cluster,
-            router,
-            reroute,
-            &spec.events,
-            AuditProbe::new(),
-        )
-        .map_err(|e| ScenarioError::Spec(format!("platform events: {e}")));
-    }
-    match (spec.engine, &spec.platform.cluster) {
-        (Engine::Kernel, None) => Ok(run_scheduler_on_rerouted_probed(
-            trace,
-            spec.policy,
-            backfill,
-            &ClusterSpec::homogeneous(trace.cluster_procs()),
-            Arc::new(StaticAffinity), // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-            ReroutePolicy::AtSubmission,
-            AuditProbe::new(),
-        )),
-        (Engine::Kernel, Some(cluster)) => Ok(run_scheduler_on_rerouted_probed(
-            trace,
-            spec.policy,
-            backfill,
-            cluster,
-            spec.platform.router.build(),
-            spec.platform.reroute,
-            AuditProbe::new(),
-        )),
-        (Engine::Reference | Engine::SeedNaive, _) => Err(ScenarioError::AuditNeedsKernel),
-    }
-}
-
-/// Robustness section for a whole-trace perturbed result: the kill /
-/// resubmit / wasted-work counters plus the bsld delta against the same
-/// spec with the event stream stripped — one extra unperturbed run
-/// prices the perturbation. `None` when the spec carries no events.
-fn robustness_of(
+/// How much the spec's platform events raised mean bsld on `trace`: `r`
+/// minus one extra unperturbed run of the same spec. `None` when the spec
+/// carries no events.
+fn bsld_degradation(
     trace: &Trace,
     spec: &ScenarioSpec,
     backfill: Backfill,
     r: &ScheduleResult,
-) -> Result<Option<RobustnessReport>, ScenarioError> {
+) -> Result<Option<f64>, ScenarioError> {
     if spec.events.is_empty() {
         return Ok(None);
     }
     let mut base_spec = spec.clone();
     base_spec.events = crate::platform::PlatformEventSpec::default();
-    let base = run_once(trace, &base_spec, backfill)?;
-    Ok(Some(RobustnessReport {
+    let (base, _) = run_once(trace, &base_spec, backfill, NoopProbe)?;
+    Ok(Some(
+        r.metrics.mean_bounded_slowdown - base.metrics.mean_bounded_slowdown,
+    ))
+}
+
+/// The report of one whole-trace run: the schedule when asked for, and
+/// the robustness section when the spec carries platform events.
+fn full_trace_report(
+    spec: &ScenarioSpec,
+    seed: Option<u64>,
+    r: ScheduleResult,
+    degradation: Option<f64>,
+) -> RunReport {
+    let robustness = degradation.map(|d| RobustnessReport {
         kills: r.kills,
         resubmits: r.resubmits,
         wasted_node_seconds: r.wasted_node_seconds,
-        bsld_degradation: Some(
-            r.metrics.mean_bounded_slowdown - base.metrics.mean_bounded_slowdown,
-        ),
-    }))
+        bsld_degradation: Some(d),
+    });
+    let schedule = spec.record_schedule.then_some(r.completed);
+    let mut report = make_report(spec, seed, r.metrics, r.dropped_jobs, schedule);
+    report.robustness = robustness;
+    report
 }
 
 fn run_with_seed(spec: &ScenarioSpec, seed: Option<u64>) -> Result<RunReport, ScenarioError> {
@@ -1259,30 +936,13 @@ fn run_protocol(
     protocol: Protocol,
     seed: Option<u64>,
 ) -> Result<RunReport, ScenarioError> {
-    let backfill = match &spec.scheduler {
-        SchedulerSpec::Heuristic(b) => *b,
-        SchedulerSpec::Agent(_) => return Err(ScenarioError::NeedsAgent),
-    };
+    let backfill = heuristic(spec)?;
     match protocol {
         Protocol::FullTrace => {
-            let (r, telemetry, attribution) = if spec.audit {
-                // The audit probe embeds a telemetry recorder, so one
-                // instrumented run serves both report fields.
-                let (r, probe) = run_once_audited(trace, spec, backfill)?;
-                let (log, tel) = probe.into_log_and_telemetry();
-                (r, spec.telemetry.then_some(tel), Some(log.attribution()))
-            } else if spec.telemetry {
-                let (r, rec) = run_once_recorded(trace, spec, backfill, Recorder::default())?;
-                (r, Some(rec.into_telemetry()), None)
-            } else {
-                (run_once(trace, spec, backfill)?, None, None)
-            };
-            let robustness = robustness_of(trace, spec, backfill, &r)?;
-            let schedule = spec.record_schedule.then_some(r.completed);
-            let mut report = make_report(spec, seed, r.metrics, r.dropped_jobs, schedule);
-            report.telemetry = telemetry;
-            report.attribution = attribution;
-            report.robustness = robustness;
+            let o = run_observed(trace, spec, backfill)?;
+            let mut report = full_trace_report(spec, seed, o.r, o.degradation);
+            report.telemetry = o.telemetry;
+            report.attribution = o.attribution;
             Ok(report)
         }
         Protocol::Windows {
@@ -1299,41 +959,24 @@ fn run_protocol(
                 wasted_node_seconds: 0.0,
                 bsld_degradation: None,
             });
-            let base_spec = robustness.is_some().then(|| {
-                let mut base = spec.clone();
-                base.events = crate::platform::PlatformEventSpec::default();
-                base
-            });
             let mut degradation = 0.0;
             let per = windows
                 .iter()
                 .map(|w| {
-                    let r = if let Some(attr) = &mut attribution {
-                        let (r, probe) = run_once_audited(w, spec, backfill)?;
-                        let (log, tel) = probe.into_log_and_telemetry();
-                        attr.merge(&log.attribution());
-                        if let Some(total) = &mut telemetry {
-                            total.merge(&tel);
-                        }
-                        r
-                    } else if let Some(total) = &mut telemetry {
-                        let (r, rec) = run_once_recorded(w, spec, backfill, Recorder::default())?;
-                        total.merge(rec.telemetry());
-                        r
-                    } else {
-                        run_once(w, spec, backfill)?
-                    };
+                    let o = run_observed(w, spec, backfill)?;
+                    if let (Some(total), Some(t)) = (&mut telemetry, &o.telemetry) {
+                        total.merge(t);
+                    }
+                    if let (Some(total), Some(a)) = (&mut attribution, &o.attribution) {
+                        total.merge(a);
+                    }
                     if let Some(rob) = &mut robustness {
-                        rob.kills += r.kills;
-                        rob.resubmits += r.resubmits;
-                        rob.wasted_node_seconds += r.wasted_node_seconds;
+                        rob.kills += o.r.kills;
+                        rob.resubmits += o.r.resubmits;
+                        rob.wasted_node_seconds += o.r.wasted_node_seconds;
                     }
-                    if let Some(base) = &base_spec {
-                        let b = run_once(w, base, backfill)?;
-                        degradation +=
-                            r.metrics.mean_bounded_slowdown - b.metrics.mean_bounded_slowdown;
-                    }
-                    Ok((r.metrics, r.dropped_jobs))
+                    degradation += o.degradation.unwrap_or(0.0);
+                    Ok((o.r.metrics, o.r.dropped_jobs))
                 })
                 .collect::<Result<Vec<_>, ScenarioError>>()?;
             if let Some(rob) = &mut robustness {
@@ -1366,59 +1009,48 @@ pub fn run_seeded(spec: &ScenarioSpec, seed: u64) -> Result<RunReport, ScenarioE
 /// the report (telemetry attached regardless of the spec's `telemetry`
 /// flag) and the recorder, whose wall-clock spans export as Chrome-trace
 /// JSON ([`Recorder::chrome_trace_json`]) — the `scenario trace`
-/// subcommand. Kernel engine, whole-trace protocol only: span streams
-/// from independently-clocked window runs would not compose into one
-/// coherent timeline.
+/// subcommand. Whole-trace protocol only: span streams from
+/// independently-clocked window runs would not compose into one coherent
+/// timeline.
 pub fn run_recorded(spec: &ScenarioSpec) -> Result<(RunReport, Recorder), ScenarioError> {
-    let (trace, protocol) = materialize(spec, None)?;
-    if protocol != Protocol::FullTrace {
-        return Err(ScenarioError::Spec(
-            "span tracing requires the whole-trace protocol (Windows runs have \
-             independently-clocked samples)"
-                .into(),
-        ));
-    }
-    let backfill = match &spec.scheduler {
-        SchedulerSpec::Heuristic(b) => *b,
-        SchedulerSpec::Agent(_) => return Err(ScenarioError::NeedsAgent),
-    };
-    let (r, rec) = run_once_recorded(&trace, spec, backfill, Recorder::with_spans())?;
-    let robustness = robustness_of(&trace, spec, backfill, &r)?;
-    let schedule = spec.record_schedule.then_some(r.completed);
-    let mut report = make_report(spec, None, r.metrics, r.dropped_jobs, schedule);
+    let (mut report, rec) = run_full_trace(spec, Recorder::with_spans(), "span tracing")?;
     report.telemetry = Some(rec.telemetry().clone());
-    report.robustness = robustness;
     Ok((report, rec))
 }
 
 /// Executes one spec with an [`AuditProbe`] and returns both the report
 /// (attribution attached regardless of the spec's `audit` flag) and the
 /// full decision-forensics [`AuditLog`] — the `scenario explain` /
-/// `scenario audit` subcommands. Kernel engine, whole-trace protocol
-/// only: record streams from independently-clocked window runs would not
-/// compose into one coherent log.
+/// `scenario audit` subcommands. Whole-trace protocol only: record
+/// streams from independently-clocked window runs would not compose into
+/// one coherent log.
 pub fn run_audited(spec: &ScenarioSpec) -> Result<(RunReport, AuditLog), ScenarioError> {
-    let (trace, protocol) = materialize(spec, None)?;
-    if protocol != Protocol::FullTrace {
-        return Err(ScenarioError::Spec(
-            "audit export requires the whole-trace protocol (Windows runs have \
-             independently-clocked samples)"
-                .into(),
-        ));
-    }
-    let backfill = match &spec.scheduler {
-        SchedulerSpec::Heuristic(b) => *b,
-        SchedulerSpec::Agent(_) => return Err(ScenarioError::NeedsAgent),
-    };
-    let (r, probe) = run_once_audited(&trace, spec, backfill)?;
+    let (mut report, probe) = run_full_trace(spec, AuditProbe::new(), "audit export")?;
     let (log, telemetry) = probe.into_log_and_telemetry();
-    let robustness = robustness_of(&trace, spec, backfill, &r)?;
-    let schedule = spec.record_schedule.then_some(r.completed);
-    let mut report = make_report(spec, None, r.metrics, r.dropped_jobs, schedule);
     report.telemetry = spec.telemetry.then_some(telemetry);
     report.attribution = Some(log.attribution());
-    report.robustness = robustness;
     Ok((report, log))
+}
+
+/// The shared body of [`run_recorded`] and [`run_audited`]: one probed
+/// whole-trace run of an unseeded spec, reported without the probe's
+/// output. `export` names the caller in the windows-protocol error.
+fn run_full_trace<P: Probe>(
+    spec: &ScenarioSpec,
+    probe: P,
+    export: &str,
+) -> Result<(RunReport, P), ScenarioError> {
+    let (trace, protocol) = materialize(spec, None)?;
+    if protocol != Protocol::FullTrace {
+        return Err(ScenarioError::Spec(format!(
+            "{export} requires the whole-trace protocol (Windows runs have \
+             independently-clocked samples)"
+        )));
+    }
+    let backfill = heuristic(spec)?;
+    let (r, probe) = run_once(&trace, spec, backfill, probe)?;
+    let degradation = bsld_degradation(&trace, spec, backfill, &r)?;
+    Ok((full_trace_report(spec, None, r, degradation), probe))
 }
 
 /// Fans the spec's `seeds` out across threads with [`desim::Replicator`]
@@ -1483,6 +1115,7 @@ pub fn replication_seeds(master: u64, n: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::platform::PlatformEvent;
+    use crate::runner::run_scheduler;
     use swf::TracePreset;
 
     fn lublin_spec(jobs: usize) -> ScenarioBuilder {
@@ -1711,15 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_requires_the_kernel_engine() {
-        let spec = lublin_spec(50)
-            .engine(Engine::Reference)
-            .audit(true)
-            .build();
-        assert_eq!(run(&spec), Err(ScenarioError::AuditNeedsKernel));
-    }
-
-    #[test]
     fn run_audited_returns_a_log_consistent_with_the_report() {
         let spec = lublin_spec(200).build();
         let (report, log) = run_audited(&spec).unwrap();
@@ -1737,21 +1361,6 @@ mod tests {
         let spec = lublin_spec(50).agent(AgentSlot::default()).build();
         assert_eq!(run(&spec), Err(ScenarioError::NeedsAgent));
         assert_eq!(spec.label(), "Lublin-1 · FCFS+RLBF");
-    }
-
-    #[test]
-    fn reference_engines_require_flat_platforms() {
-        let flat_ref = lublin_spec(120).engine(Engine::Reference).build();
-        let kernel = lublin_spec(120).build();
-        assert_eq!(
-            run(&flat_ref).unwrap().metrics,
-            run(&kernel).unwrap().metrics
-        );
-        let clustered = lublin_spec(120)
-            .engine(Engine::SeedNaive)
-            .cluster(ClusterSpec::homogeneous(256), RouterSpec::Affinity)
-            .build();
-        assert_eq!(run(&clustered), Err(ScenarioError::ReferenceNeedsFlat));
     }
 
     #[test]
@@ -1790,15 +1399,6 @@ mod tests {
         let off = lublin_spec(50).build();
         assert!(!off.to_json_pretty().contains("\"events\""));
         assert!(!run(&off).unwrap().to_json_pretty().contains("robustness"));
-    }
-
-    #[test]
-    fn platform_events_require_the_kernel_engine() {
-        let spec = lublin_spec(50)
-            .engine(Engine::Reference)
-            .events(outage(100.0, 32, 5000.0))
-            .build();
-        assert_eq!(run(&spec), Err(ScenarioError::PlatformEventsNeedKernel));
     }
 
     #[test]

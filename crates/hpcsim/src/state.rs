@@ -383,9 +383,10 @@ enum ClusterEvent {
 /// [`crate::observe`]. [`Simulation`] is the [`NoopProbe`] instantiation:
 /// every hook monomorphizes to an empty inline body, so the
 /// uninstrumented engine compiles to exactly the pre-probe code. A
-/// [`crate::observe::Recorder`] (via [`ProbedSimulation::with_probe`] or
-/// the runner's `*_recorded` entry points) collects counters, histograms
-/// and span traces instead.
+/// [`crate::observe::Recorder`] (via
+/// [`ProbedSimulation::with_cluster_rerouted_probed`] or
+/// [`crate::run_scheduler_probed`]) collects counters, histograms and span
+/// traces instead.
 #[derive(Debug, Clone)]
 pub struct ProbedSimulation<P: Probe = NoopProbe> {
     policy: Policy,
@@ -458,35 +459,25 @@ impl<P: Probe + Default> ProbedSimulation<P> {
     /// Starts a fresh simulation of `trace` under `policy` on the
     /// degenerate homogeneous cluster (one partition, reference speed).
     pub fn new(trace: &Trace, policy: Policy) -> Self {
-        Self::with_cluster(
+        Self::with_cluster_rerouted(
             trace,
             policy,
             ClusterSpec::homogeneous(trace.cluster_procs()),
             Arc::new(StaticAffinity), // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
+            ReroutePolicy::AtSubmission,
         )
     }
 
     /// Starts a simulation of `trace` on an explicit cluster shape, with
-    /// `router` assigning each arriving job to a partition **once, at
-    /// submission** ([`ReroutePolicy::AtSubmission`]). Jobs wider than the
-    /// widest partition are unroutable: they are set aside up front (the
-    /// same sanitation [`Trace::new`] applies against a homogeneous
-    /// machine) and counted in [`Simulation::dropped_jobs`].
-    pub fn with_cluster(
-        trace: &Trace,
-        policy: Policy,
-        spec: ClusterSpec,
-        router: Arc<dyn Router>, // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-    ) -> Self {
-        Self::with_cluster_rerouted(trace, policy, spec, router, ReroutePolicy::AtSubmission)
-    }
-
-    /// [`Simulation::with_cluster`] with an explicit [`ReroutePolicy`]:
-    /// under [`ReroutePolicy::AtDecisionPoints`], still-waiting jobs are
+    /// `router` assigning each arriving job to a partition at submission.
+    /// Jobs wider than the widest partition are unroutable: they are set
+    /// aside up front (the same sanitation [`Trace::new`] applies against
+    /// a homogeneous machine) and counted in [`Simulation::dropped_jobs`].
+    /// Under [`ReroutePolicy::AtDecisionPoints`], still-waiting jobs are
     /// re-evaluated whenever an arrival/completion batch settles and
     /// migrated to a partition with a strictly earlier estimated start
-    /// (see [`Router::reroute`]). `AtSubmission` realizes
-    /// bitwise-identical schedules to [`Simulation::with_cluster`].
+    /// (see [`Router::reroute`]); [`ReroutePolicy::AtSubmission`] never
+    /// revisits an assignment.
     pub fn with_cluster_rerouted(
         trace: &Trace,
         policy: Policy,
@@ -561,19 +552,6 @@ impl<P: Probe> ProbedSimulation<P> {
             }
         }
         sim
-    }
-
-    /// Starts a probed simulation on the degenerate homogeneous cluster —
-    /// [`Simulation::new`] with an explicit probe instance.
-    pub fn with_probe(trace: &Trace, policy: Policy, probe: P) -> Self {
-        Self::with_cluster_rerouted_probed(
-            trace,
-            policy,
-            ClusterSpec::homogeneous(trace.cluster_procs()),
-            Arc::new(StaticAffinity), // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-            ReroutePolicy::AtSubmission,
-            probe,
-        )
     }
 
     /// The probe, for reading collected telemetry mid-run.
@@ -1666,8 +1644,13 @@ mod tests {
             PartitionSpec::new("a", 4, 1.0),
             PartitionSpec::new("b", 4, 1.0),
         ]);
-        let mut sim =
-            Simulation::with_cluster(&t, Policy::Fcfs, spec, std::sync::Arc::new(LeastLoaded));
+        let mut sim = Simulation::with_cluster_rerouted(
+            &t,
+            Policy::Fcfs,
+            spec,
+            std::sync::Arc::new(LeastLoaded),
+            ReroutePolicy::AtSubmission,
+        );
         while sim.advance() != SimEvent::Done {}
         assert_eq!(sim.completed().len(), 2);
         assert!(sim.completed().iter().all(|c| c.start == 0.0));
@@ -1680,8 +1663,13 @@ mod tests {
         // request) halves.
         let t = trace(4, vec![Job::new(0, 0.0, 4, 100.0, 100.0)]);
         let spec = ClusterSpec::new(vec![PartitionSpec::new("turbo", 4, 2.0)]);
-        let mut sim =
-            Simulation::with_cluster(&t, Policy::Fcfs, spec, std::sync::Arc::new(StaticAffinity));
+        let mut sim = Simulation::with_cluster_rerouted(
+            &t,
+            Policy::Fcfs,
+            spec,
+            std::sync::Arc::new(StaticAffinity),
+            ReroutePolicy::AtSubmission,
+        );
         while sim.advance() != SimEvent::Done {}
         assert_eq!(sim.completed()[0].end(), 50.0);
     }
@@ -1700,8 +1688,13 @@ mod tests {
             PartitionSpec::new("a", 4, 1.0),
             PartitionSpec::new("b", 4, 1.0),
         ]);
-        let mut sim =
-            Simulation::with_cluster(&t, Policy::Fcfs, spec, std::sync::Arc::new(StaticAffinity));
+        let mut sim = Simulation::with_cluster_rerouted(
+            &t,
+            Policy::Fcfs,
+            spec,
+            std::sync::Arc::new(StaticAffinity),
+            ReroutePolicy::AtSubmission,
+        );
         while sim.advance() != SimEvent::Done {}
         assert_eq!(sim.completed().len(), 1);
         assert_eq!(sim.completed()[0].job.id, 1);
@@ -1919,8 +1912,13 @@ mod tests {
             PartitionSpec::new("big", 8, 1.0),
             PartitionSpec::new("small", 4, 1.0),
         ]);
-        let mut sim =
-            Simulation::with_cluster(&t, Policy::Fcfs, spec, std::sync::Arc::new(StaticAffinity));
+        let mut sim = Simulation::with_cluster_rerouted(
+            &t,
+            Policy::Fcfs,
+            spec,
+            std::sync::Arc::new(StaticAffinity),
+            ReroutePolicy::AtSubmission,
+        );
         assert_eq!(sim.advance(), SimEvent::BackfillOpportunity);
         assert_eq!(sim.active_partition(), 1);
         assert_eq!(sim.partitions()[1].name(), "small");

@@ -9,8 +9,10 @@
 //! seed engine's `swap_remove` scan order is an implementation accident).
 
 use hpcsim::prelude::*;
-use hpcsim::runner::run_scheduler_reference;
+use hpcsim::reference::run_scheduler_reference;
+use hpcsim::{ClusterSpec, EarliestStart, LeastLoaded, Router, StaticAffinity};
 use proptest::prelude::*;
+use std::sync::Arc;
 use swf::{Job, Trace};
 
 /// All backfill strategies exercised by the paper's experiments.
@@ -65,19 +67,34 @@ fn assert_equivalent(trace: &Trace, policy: Policy, backfill: Backfill) {
     // the NoopProbe run — telemetry observes, never steers — and its
     // counters must be identical when the same run repeats (they feed a
     // byte-pinned artifact, so any nondeterminism is a bug).
-    let (recorded, rec) = run_scheduler_recorded(trace, policy, backfill, Recorder::default());
+    let (recorded, rec) = run_recorded(trace, policy, backfill);
     assert_eq!(
         schedule_of(&kernel.completed),
         schedule_of(&recorded.completed),
         "recorder probe perturbed the schedule: {policy} {backfill:?}"
     );
     assert_eq!(kernel.metrics, recorded.metrics);
-    let (_, rec2) = run_scheduler_recorded(trace, policy, backfill, Recorder::default());
+    let (_, rec2) = run_recorded(trace, policy, backfill);
     assert_eq!(
         rec.telemetry(),
         rec2.telemetry(),
         "telemetry counters are nondeterministic: {policy} {backfill:?}"
     );
+}
+
+/// The kernel on the trace's flat machine with a live [`Recorder`] probe.
+fn run_recorded(trace: &Trace, policy: Policy, backfill: Backfill) -> (ScheduleResult, Recorder) {
+    run_scheduler_probed(
+        trace,
+        policy,
+        backfill,
+        &ClusterSpec::homogeneous(trace.cluster_procs()),
+        Arc::new(StaticAffinity),
+        ReroutePolicy::AtSubmission,
+        &PlatformEventSpec::default(),
+        Recorder::default(),
+    )
+    .expect("an empty event spec installs")
 }
 
 /// A random but well-formed workload on a small cluster, shaped to create
@@ -194,8 +211,6 @@ fn one_partition_cluster_matches_homogeneous_engine_bitwise() {
     // a one-partition machine has exactly one legal answer — routing
     // strategy must be unobservable). The flat engine is itself pinned to
     // the seed engine above, so transitively: cluster == seed.
-    use hpcsim::{ClusterSpec, EarliestStart, LeastLoaded, Router, StaticAffinity};
-    use std::sync::Arc;
     let routers: Vec<Arc<dyn Router>> = vec![
         Arc::new(StaticAffinity),
         Arc::new(LeastLoaded),
@@ -208,12 +223,13 @@ fn one_partition_cluster_matches_homogeneous_engine_bitwise() {
             for backfill in all_backfills() {
                 let flat = run_scheduler(&trace, policy, backfill);
                 for router in &routers {
-                    let clustered = hpcsim::run_scheduler_on(
+                    let clustered = run_scheduler_on_rerouted(
                         &trace,
                         policy,
                         backfill,
                         &spec,
                         Arc::clone(router),
+                        ReroutePolicy::AtSubmission,
                     );
                     assert_eq!(
                         schedule_of(&clustered.completed),
@@ -236,8 +252,6 @@ fn multi_partition_runs_complete_under_every_router() {
     // but the end-to-end guarantee: every routed job completes exactly
     // once, under every policy × backfill × router, on a heterogeneous
     // 3-partition split.
-    use hpcsim::{ClusterSpec, EarliestStart, LeastLoaded, Router, StaticAffinity};
-    use std::sync::Arc;
     let w = swf::partitioned_preset(swf::TracePreset::Lublin1, 3, 400, 13);
     let spec = ClusterSpec::from_layout(&w.layout);
     let routers: Vec<Arc<dyn Router>> = vec![
@@ -248,8 +262,14 @@ fn multi_partition_runs_complete_under_every_router() {
     for policy in Policy::ALL {
         for backfill in all_backfills() {
             for router in &routers {
-                let r =
-                    hpcsim::run_scheduler_on(&w.trace, policy, backfill, &spec, Arc::clone(router));
+                let r = run_scheduler_on_rerouted(
+                    &w.trace,
+                    policy,
+                    backfill,
+                    &spec,
+                    Arc::clone(router),
+                    ReroutePolicy::AtSubmission,
+                );
                 assert_eq!(
                     r.completed.len(),
                     w.trace.len(),

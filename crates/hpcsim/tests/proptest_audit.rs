@@ -196,15 +196,17 @@ fn run_audited_pair(
 ) -> (ScheduleResult, AuditLog) {
     let plain =
         run_scheduler_on_rerouted(trace, policy, backfill, cluster, router.clone(), reroute);
-    let (audited, probe) = run_scheduler_on_rerouted_probed(
+    let (audited, probe) = run_scheduler_probed(
         trace,
         policy,
         backfill,
         cluster,
         router,
         reroute,
+        &PlatformEventSpec::default(),
         AuditProbe::new(),
-    );
+    )
+    .expect("an empty event spec installs");
     assert_eq!(
         plain.completed, audited.completed,
         "the audit probe must not perturb the schedule"

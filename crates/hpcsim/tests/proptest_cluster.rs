@@ -147,7 +147,13 @@ proptest! {
         router in arb_router(),
         policy in arb_policy(),
     ) {
-        let mut sim = Simulation::with_cluster(&trace, policy, spec, router);
+        let mut sim = Simulation::with_cluster_rerouted(
+            &trace,
+            policy,
+            spec,
+            router,
+            ReroutePolicy::AtSubmission,
+        );
         let mut guard = 0usize;
         loop {
             let ev = sim.advance();
@@ -172,7 +178,13 @@ proptest! {
         spec in arb_spec(),
         router in arb_router(),
     ) {
-        let mut sim = Simulation::with_cluster(&trace, Policy::Fcfs, spec, router);
+        let mut sim = Simulation::with_cluster_rerouted(
+            &trace,
+            Policy::Fcfs,
+            spec,
+            router,
+            ReroutePolicy::AtSubmission,
+        );
         let mut guard = 0usize;
         while sim.advance() == SimEvent::BackfillOpportunity {
             check_invariants(&sim);

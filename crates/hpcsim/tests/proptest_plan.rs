@@ -203,7 +203,7 @@ proptest! {
             Backfill::Easy(case.estimator),
         ] {
             let kernel = run_scheduler(&case.trace, case.policy, backfill);
-            let reference = hpcsim::runner::run_scheduler_reference(
+            let reference = hpcsim::reference::run_scheduler_reference(
                 &case.trace,
                 case.policy,
                 backfill,

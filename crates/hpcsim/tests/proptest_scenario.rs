@@ -180,14 +180,6 @@ fn arb_metric() -> impl Strategy<Value = MetricKind> {
     ]
 }
 
-fn arb_engine() -> impl Strategy<Value = Engine> {
-    prop_oneof![
-        Just(Engine::Kernel),
-        Just(Engine::Reference),
-        Just(Engine::SeedNaive),
-    ]
-}
-
 fn arb_platform_event() -> impl Strategy<Value = PlatformEvent> {
     prop_oneof![
         (0.0f64..1e6, 0usize..4, 1u32..64).prop_map(|(at, part, procs)| PlatformEvent::NodeFail {
@@ -246,7 +238,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         (any::<bool>(), 0u32..100).prop_map(|(named, n)| named.then(|| format!("custom row {n}")));
     (
         (name, arb_source(), arb_platform()),
-        (arb_policy(), arb_scheduler(), arb_engine()),
+        (arb_policy(), arb_scheduler()),
         (
             arb_protocol(),
             proptest::collection::vec(any::<u64>(), 0..8),
@@ -258,7 +250,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         .prop_map(
             |(
                 (name, trace, platform),
-                (policy, scheduler, engine),
+                (policy, scheduler),
                 (protocol, seeds, metrics, (record_schedule, telemetry, audit), events),
             )| ScenarioSpec {
                 name,
@@ -266,7 +258,7 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 platform,
                 policy,
                 scheduler,
-                engine,
+                engine: Engine::Kernel,
                 protocol,
                 seeds,
                 metrics,

@@ -1,5 +1,5 @@
 //! Pins `scenario::run` **bitwise** to the seed-pinned low-level engines
-//! (`run_scheduler` / `run_scheduler_on`) across Policy × Backfill ×
+//! (`run_scheduler` / `run_scheduler_on_rerouted`) across Policy × Backfill ×
 //! router, so the declarative redesign cannot drift from the engines the
 //! equivalence suite already ties to the seed implementation.
 //!
@@ -103,8 +103,14 @@ fn scenario_run_equals_run_scheduler_on_under_every_router() {
                     .record_schedule(true)
                     .build();
                 let report = hpcsim::scenario::run(&spec).unwrap();
-                let direct =
-                    run_scheduler_on(&w.trace, policy, backfill, &cluster, Arc::clone(router));
+                let direct = run_scheduler_on_rerouted(
+                    &w.trace,
+                    policy,
+                    backfill,
+                    &cluster,
+                    Arc::clone(router),
+                    ReroutePolicy::AtSubmission,
+                );
                 assert_eq!(
                     report.metrics,
                     direct.metrics,
@@ -126,7 +132,7 @@ fn scenario_run_equals_run_scheduler_on_under_every_router() {
 fn at_submission_reroute_is_bitwise_inert_across_routers_and_policies() {
     // An explicit `reroute: AtSubmission` spec must realize the exact
     // schedule of (a) the same spec without the field and (b) the direct
-    // `run_scheduler_on` engines — the migration subsystem cannot perturb
+    // `run_scheduler_on_rerouted` engines — the migration subsystem cannot perturb
     // default runs, for any router × policy.
     let parts = 3;
     let w = swf::partitioned_preset(TracePreset::Lublin1, parts, JOBS, SEED);
@@ -160,12 +166,13 @@ fn at_submission_reroute_is_bitwise_inert_across_routers_and_policies() {
                 .build();
             assert_eq!(implicit, explicit, "AtSubmission is the default");
             let report = hpcsim::scenario::run(&explicit).unwrap();
-            let direct = run_scheduler_on(
+            let direct = run_scheduler_on_rerouted(
                 &w.trace,
                 policy,
                 Backfill::Easy(RuntimeEstimator::RequestTime),
                 &cluster,
                 Arc::clone(router),
+                ReroutePolicy::AtSubmission,
             );
             assert_eq!(
                 report.metrics,
@@ -315,30 +322,6 @@ fn degenerate_platform_is_bitwise_flat_regardless_of_router() {
 }
 
 #[test]
-fn every_engine_realizes_the_same_flat_schedule() {
-    // Kernel, Reference and SeedNaive are pinned equal by the event
-    // equivalence suite; the scenario layer must preserve that.
-    let mut reports = Vec::new();
-    for engine in [Engine::Kernel, Engine::Reference, Engine::SeedNaive] {
-        let spec = ScenarioSpec::builder(source())
-            .policy(Policy::Sjf)
-            .backfill(Backfill::Conservative(RuntimeEstimator::RequestTime))
-            .engine(engine)
-            .record_schedule(true)
-            .build();
-        reports.push(hpcsim::scenario::run(&spec).unwrap());
-    }
-    let kernel = schedule_of(reports[0].schedule.as_ref().unwrap());
-    for r in &reports[1..] {
-        assert_eq!(schedule_of(r.schedule.as_ref().unwrap()), kernel);
-        assert_eq!(
-            r.metrics.mean_bounded_slowdown,
-            reports[0].metrics.mean_bounded_slowdown
-        );
-    }
-}
-
-#[test]
 fn telemetry_flag_does_not_perturb_schedule_or_committed_bytes() {
     // `telemetry: true` must change only the report's telemetry section:
     // same metrics bits, same schedule, and the telemetry-off report's
@@ -395,12 +378,17 @@ fn windows_telemetry_is_the_merge_of_per_window_counters() {
     let windows = hpcsim::scenario::sample_windows(&trace, samples, window_len, wseed);
     let mut expected = Telemetry::default();
     for w in &windows {
-        let (_, rec) = run_scheduler_recorded(
+        let (_, rec) = run_scheduler_probed(
             w,
             Policy::Fcfs,
             Backfill::Easy(RuntimeEstimator::RequestTime),
+            &ClusterSpec::homogeneous(w.cluster_procs()),
+            Arc::new(StaticAffinity),
+            ReroutePolicy::AtSubmission,
+            &PlatformEventSpec::default(),
             Recorder::default(),
-        );
+        )
+        .expect("an empty event spec installs");
         expected.merge(rec.telemetry());
     }
     assert_eq!(t, expected);

@@ -49,6 +49,34 @@ fn unparsable_json_is_a_clean_error() {
 }
 
 #[test]
+fn removed_seed_engines_are_a_parse_error() {
+    // Every scenario runs on the kernel; the seed engines are differential
+    // oracles, not spec values. A spec naming one must fail to load with an
+    // error that names the file and the rejected variant.
+    let spec = ScenarioSpec::builder(swf::TraceSource::Preset {
+        preset: swf::TracePreset::Lublin1,
+        jobs: 10,
+        seed: 1,
+    })
+    .build();
+    let json = spec
+        .to_json_pretty()
+        .replace("\"engine\": \"Kernel\"", "\"engine\": \"Reference\"");
+    assert!(
+        json.contains("\"Reference\""),
+        "the fixture must name the engine"
+    );
+    let path = std::env::temp_dir().join("hpcsim_reference_engine_spec.json");
+    std::fs::write(&path, json).unwrap();
+    let err = ScenarioSpec::load(&path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    let msg = err.to_string();
+    assert!(msg.contains("cannot parse"), "{msg}");
+    assert!(msg.contains("hpcsim_reference_engine_spec.json"), "{msg}");
+    assert!(msg.contains("Reference"), "{msg}");
+}
+
+#[test]
 fn valid_specs_still_load() {
     // The loader's error paths must not break the happy path: write a
     // valid spec and read it back.

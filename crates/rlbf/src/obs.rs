@@ -467,8 +467,13 @@ mod tests {
             PartitionSpec::new("big", 8, 2.0),
             PartitionSpec::new("small", 4, 1.0),
         ]);
-        let mut sim =
-            Simulation::with_cluster(&t, hpcsim::Policy::Fcfs, spec, Arc::new(StaticAffinity));
+        let mut sim = Simulation::with_cluster_rerouted(
+            &t,
+            hpcsim::Policy::Fcfs,
+            spec,
+            Arc::new(StaticAffinity),
+            hpcsim::ReroutePolicy::AtSubmission,
+        );
         assert_eq!(sim.advance(), SimEvent::BackfillOpportunity);
         assert_eq!(sim.active_partition(), 1);
         let obs = encode(&sim, &ObsConfig { max_obsv_size: 8 });

@@ -124,14 +124,6 @@ pub fn run_spec(spec: &ScenarioSpec) -> Result<RunReport, String> {
 /// §4.3 windows per the spec's protocol, reported in the same
 /// [`RunReport`] shape as heuristic runs.
 pub fn run_spec_with_agent(spec: &ScenarioSpec, agent: &RlbfAgent) -> Result<RunReport, String> {
-    if spec.engine != hpcsim::Engine::Kernel {
-        // Succeeding on the kernel while the embedded spec claims a seed
-        // engine would break the report's provenance contract.
-        return Err(format!(
-            "agent specs only run on the kernel engine, got {:?}",
-            spec.engine
-        ));
-    }
     let (trace, protocol) = scenario::materialize(spec, None).map_err(|e| e.to_string())?;
     let (metrics, dropped) = match protocol {
         Protocol::FullTrace => agent.schedule_on_counted(&trace, spec.policy, &spec.platform),
