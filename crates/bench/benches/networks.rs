@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks: the RL agent's hot paths — kernel policy
 //! forward, value forward, and the gradient accumulation that dominates
-//! PPO update time.
+//! PPO update time: policy and value forward+backward, and the fused
+//! calls the training loops make (value or log-prob plus gradient from one
+//! forward pass), at the default 64 observation slots.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppo::ActorCritic;
@@ -66,5 +68,32 @@ fn bench_policy_backward(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_forward, bench_value, bench_policy_backward);
+fn bench_value_backward(c: &mut Criterion) {
+    let obs = obs_of_size(64);
+    c.bench_function("value_grad_accumulate_64", |b| {
+        let mut ac = ac_of_size(64);
+        b.iter(|| ac.accumulate_value_grad(black_box(&obs), 0.01))
+    });
+}
+
+fn bench_fused(c: &mut Criterion) {
+    let obs = obs_of_size(64);
+    c.bench_function("log_prob_and_grad_64", |b| {
+        let mut ac = ac_of_size(64);
+        b.iter(|| ac.log_prob_and_grad(black_box(&obs), 3, |_| 0.01))
+    });
+    c.bench_function("value_and_grad_64", |b| {
+        let mut ac = ac_of_size(64);
+        b.iter(|| ac.value_and_grad(black_box(&obs), |v| -2.0 * (v - 0.5)))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_forward,
+    bench_value,
+    bench_policy_backward,
+    bench_value_backward,
+    bench_fused
+);
 criterion_main!(benches);

@@ -120,6 +120,23 @@ pub trait ActorCritic<O> {
     fn accumulate_policy_grad(&mut self, obs: &O, action: usize, coef: f64);
     /// Accumulates `coef · ∇_φ V(obs)` into the value grads.
     fn accumulate_value_grad(&mut self, obs: &O, coef: f64);
+    /// Log-probability of `action` at `obs`, with `coef(log_prob) ·
+    /// ∇_θ log π(action|obs)` accumulated as by
+    /// [`Self::accumulate_policy_grad`]. Implementors override it to share
+    /// one forward pass between the two.
+    fn log_prob_and_grad(&mut self, obs: &O, action: usize, coef: impl FnOnce(f64) -> f64) -> f64 {
+        let log_prob = self.log_prob(obs, action);
+        self.accumulate_policy_grad(obs, action, coef(log_prob));
+        log_prob
+    }
+    /// Critic value at `obs`, with `coef(value) · ∇_φ V(obs)` accumulated
+    /// as by [`Self::accumulate_value_grad`]. Implementors override it to
+    /// share one forward pass between the two.
+    fn value_and_grad(&mut self, obs: &O, coef: impl FnOnce(f64) -> f64) -> f64 {
+        let value = self.value(obs);
+        self.accumulate_value_grad(obs, coef(value));
+        value
+    }
     /// Applies and clears accumulated policy gradients (ascent direction).
     fn policy_opt_step(&mut self);
     /// Applies and clears accumulated value gradients (descent on MSE is
@@ -174,12 +191,13 @@ pub fn ppo_update<O, AC: ActorCritic<O>>(
     for _ in 0..cfg.train_v_iters {
         value_loss = 0.0;
         for (i, step) in batch.steps.iter().enumerate() {
-            let v = ac.value(&step.obs);
-            let err = v - batch.returns[i];
-            value_loss += err * err;
-            // Descent on MSE: dL/dφ = 2·err·∇V / n, so accumulate the
-            // negative.
-            ac.accumulate_value_grad(&step.obs, -2.0 * err / n);
+            ac.value_and_grad(&step.obs, |v| {
+                let err = v - batch.returns[i];
+                value_loss += err * err;
+                // Descent on MSE: dL/dφ = 2·err·∇V / n, so accumulate the
+                // negative.
+                -2.0 * err / n
+            });
         }
         value_loss /= n;
         ac.value_opt_step();
@@ -283,6 +301,27 @@ mod tests {
             self.value += self.lr * self.value_grad;
             self.value_grad = 0.0;
         }
+    }
+
+    #[test]
+    fn provided_fused_calls_match_the_separate_calls() {
+        let bandit = || Bandit {
+            logits: [0.3, -0.2],
+            grad: [0.0, 0.0],
+            value: 0.4,
+            value_grad: 0.0,
+            lr: 0.1,
+        };
+        let (mut fused, mut separate) = (bandit(), bandit());
+        let log_prob = fused.log_prob_and_grad(&(), 1, |lp| 2.0 * lp);
+        assert_eq!(log_prob, separate.log_prob(&(), 1));
+        separate.accumulate_policy_grad(&(), 1, 2.0 * log_prob);
+        assert_eq!(fused.grad, separate.grad);
+
+        let value = fused.value_and_grad(&(), |v| v - 1.0);
+        assert_eq!(value, separate.value(&()));
+        separate.accumulate_value_grad(&(), value - 1.0);
+        assert_eq!(fused.value_grad, separate.value_grad);
     }
 
     #[test]

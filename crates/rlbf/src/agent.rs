@@ -331,6 +331,28 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_a_matrix_with_missing_weights() {
+        let agent = RlbfAgent {
+            ac: BackfillActorCritic::new(crate::NetConfig::default(), 1),
+            trained_with: Policy::Fcfs,
+            env: EnvConfig::default(),
+            trained_on: "none".into(),
+        };
+        // Drop the first weight of the first matrix in the checkpoint.
+        let json = serde_json::to_string(&agent).unwrap();
+        let start = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let comma = start + json[start..].find(',').unwrap();
+        let dir = std::env::temp_dir().join("rlbf_agent_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("truncated_matrix.json");
+        std::fs::write(&path, format!("{}{}", &json[..start], &json[comma + 1..])).unwrap();
+        let err = RlbfAgent::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("rows·cols"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn load_rejects_garbage() {
         let dir = std::env::temp_dir().join("rlbf_agent_test");
         std::fs::create_dir_all(&dir).unwrap();

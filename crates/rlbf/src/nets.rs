@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tinynn::{
     entropy_grad_wrt_logits, log_prob_grad_wrt_logits, Activation, Adam, AdamConfig,
-    MaskedCategorical, Matrix, Mlp,
+    MaskedCategorical, Matrix, Mlp, MlpCache,
 };
 
 /// Network architecture and optimizer configuration.
@@ -148,6 +148,21 @@ impl BackfillActorCritic {
         merge_mlp_grads(&mut self.policy, &other.policy);
         merge_mlp_grads(&mut self.value, &other.value);
     }
+
+    /// Backpropagates `coef · ∇ log π(action)`, plus the entropy bonus,
+    /// through a cached policy forward pass.
+    fn policy_backward(&mut self, cache: &MlpCache, mask: &[bool], action: usize, coef: f64) {
+        let logits = cache.output().data(); // (slots+1) × 1
+        let mut dlogits = log_prob_grad_wrt_logits(logits, mask, action, coef);
+        if self.cfg.entropy_coef != 0.0 {
+            let ent = entropy_grad_wrt_logits(logits, mask);
+            for (d, e) in dlogits.iter_mut().zip(ent) {
+                *d += self.cfg.entropy_coef * e;
+            }
+        }
+        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
+        self.policy.backward(cache, &grad);
+    }
 }
 
 fn merge_mlp_grads(into: &mut Mlp, from: &Mlp) {
@@ -160,6 +175,16 @@ fn merge_mlp_grads(into: &mut Mlp, from: &Mlp) {
     }
 }
 
+/// One optimizer step on gradients accumulated for ascent: Adam descends,
+/// so the gradients are negated in place first.
+fn ascent_step(net: &mut Mlp, opt: &mut Adam) {
+    let mut pairs = net.params_and_grads_mut();
+    for (_, g) in &mut pairs {
+        g.data_mut().iter_mut().for_each(|v| *v = -*v);
+    }
+    opt.step(pairs);
+}
+
 impl ActorCritic<Observation> for BackfillActorCritic {
     fn log_prob(&self, obs: &Observation, action: usize) -> f64 {
         self.distribution(obs).log_prob(action)
@@ -170,41 +195,43 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     }
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
-        let (out, cache) = self.policy.forward_cached(&obs.features);
-        let logits: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
-        let mask = obs.action_mask();
-        let mut dlogits = log_prob_grad_wrt_logits(&logits, mask, action, coef);
-        if self.cfg.entropy_coef != 0.0 {
-            let ent = entropy_grad_wrt_logits(&logits, mask);
-            for (d, e) in dlogits.iter_mut().zip(ent) {
-                *d += self.cfg.entropy_coef * e;
-            }
-        }
-        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
-        self.policy.backward(&cache, &grad);
+        let cache = self.policy.forward_cached(&obs.features);
+        self.policy_backward(&cache, obs.action_mask(), action, coef);
     }
 
     fn accumulate_value_grad(&mut self, obs: &Observation, coef: f64) {
+        self.value_and_grad(obs, |_| coef);
+    }
+
+    fn log_prob_and_grad(
+        &mut self,
+        obs: &Observation,
+        action: usize,
+        coef: impl FnOnce(f64) -> f64,
+    ) -> f64 {
+        let cache = self.policy.forward_cached(&obs.features);
+        let mask = obs.action_mask();
+        let log_prob = MaskedCategorical::new(cache.output().data(), mask).log_prob(action);
+        self.policy_backward(&cache, mask, action, coef(log_prob));
+        log_prob
+    }
+
+    fn value_and_grad(&mut self, obs: &Observation, coef: impl FnOnce(f64) -> f64) -> f64 {
         let flat = obs.features.flatten();
-        let (_, cache) = self.value.forward_cached(&flat);
-        let grad = Matrix::from_vec(1, 1, vec![coef]);
-        self.value.backward(&cache, &grad);
+        let cache = self.value.forward_cached(&flat);
+        let value = cache.output().get(0, 0);
+        self.value
+            .backward(&cache, &Matrix::from_vec(1, 1, vec![coef(value)]));
+        value
     }
 
     fn policy_opt_step(&mut self) {
-        // `accumulate_policy_grad` builds ascent gradients; Adam descends,
-        // so flip the sign once here.
-        for (_, g) in self.policy.params_and_grads_mut() {
-            *g = g.scale(-1.0);
-        }
-        self.policy_opt.step(self.policy.params_and_grads_mut());
+        // `accumulate_policy_grad` builds ascent gradients.
+        ascent_step(&mut self.policy, &mut self.policy_opt);
     }
 
     fn value_opt_step(&mut self) {
-        for (_, g) in self.value.params_and_grads_mut() {
-            *g = g.scale(-1.0);
-        }
-        self.value_opt.step(self.value.params_and_grads_mut());
+        ascent_step(&mut self.value, &mut self.value_opt);
     }
 }
 
@@ -355,6 +382,122 @@ mod tests {
             assert!((x - y).abs() < 1e-12);
         }
         assert_eq!(ac.act_greedy(&obs), back.act_greedy(&obs));
+    }
+
+    /// FNV-1a over the bytes of `s`.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A 16-slot observation: `k`-dependent valid slots, the rows past
+    /// `10 + k % 4` left as all-zero padding.
+    fn pinned_obs(k: usize) -> Observation {
+        let slots = 16;
+        let filled = 10 + k % 4;
+        let mut features = Matrix::zeros(slots + 1, JOB_FEATURES);
+        for s in 0..filled {
+            for c in 0..JOB_FEATURES {
+                if !(s + c + k).is_multiple_of(6) {
+                    features.set(s, c, ((s * 7 + c * 3 + k) as f64 * 0.37).sin() * 0.5 + 0.5);
+                }
+            }
+        }
+        features.set(slots, 4, 0.5);
+        let mut mask: Vec<bool> = (0..slots)
+            .map(|s| s < filled && !(s * 3 + k).is_multiple_of(5))
+            .collect();
+        mask.push(!k.is_multiple_of(3));
+        let mut queue_index: Vec<Option<usize>> = (0..slots).map(Some).collect();
+        queue_index.push(None);
+        Observation {
+            features,
+            mask,
+            queue_index,
+        }
+    }
+
+    /// Imitation steps and sequential PPO updates on fixed observations;
+    /// returns the agent's JSON followed by every loss the run reported.
+    /// `fused` takes the imitation log-probs from the gradient's forward
+    /// pass ([`ActorCritic::log_prob_and_grad`]) instead of a separate one.
+    fn pinned_training_run(fused: bool) -> String {
+        let cfg = NetConfig {
+            obs: ObsConfig { max_obsv_size: 16 },
+            ..NetConfig::default()
+        };
+        let mut ac = BackfillActorCritic::new(cfg, 11);
+        let obs: Vec<Observation> = (0..6).map(pinned_obs).collect();
+        let mut losses = Vec::new();
+
+        // Behaviour cloning towards the first valid slot of each row.
+        let demos: Vec<(&Observation, usize)> = obs
+            .iter()
+            .map(|o| (o, o.mask.iter().position(|&m| m).unwrap()))
+            .collect();
+        let n = demos.len() as f64;
+        for _ in 0..3 {
+            let mut ce = 0.0;
+            for &(o, a) in &demos {
+                if fused {
+                    ce -= ac.log_prob_and_grad(o, a, |_| 1.0 / n);
+                } else {
+                    ce -= ac.log_prob(o, a);
+                    ac.accumulate_policy_grad(o, a, 1.0 / n);
+                }
+            }
+            ac.policy_opt_step();
+            losses.push(ce);
+        }
+
+        // Sequential PPO updates on one fixed trajectory.
+        let ppo_cfg = ppo::PpoConfig {
+            train_pi_iters: 3,
+            train_v_iters: 3,
+            target_kl: 1.0,
+            ..ppo::PpoConfig::default()
+        };
+        for round in 0..3 {
+            let mut buffer = ppo::RolloutBuffer::new(1.0, 0.97);
+            let steps = obs
+                .iter()
+                .enumerate()
+                .map(|(i, o)| {
+                    let action = o.mask.iter().rposition(|&m| m).unwrap();
+                    ppo::Step {
+                        obs: o.clone(),
+                        action,
+                        reward: ((i + round) as f64 * 0.9).cos(),
+                        value: ac.value(o),
+                        log_prob: ac.log_prob(o, action),
+                    }
+                })
+                .collect();
+            buffer.absorb_trajectory(steps, 0.0);
+            let stats = ppo::ppo_update(&mut ac, &buffer.into_batch(), &ppo_cfg);
+            losses.extend([stats.approx_kl, stats.value_loss, stats.clip_frac]);
+        }
+        let bits: Vec<String> = losses
+            .iter()
+            .map(|l| format!("{:x}", l.to_bits()))
+            .collect();
+        format!("{} {}", ac.to_json(), bits.join(","))
+    }
+
+    /// Pins the bits of a short training run: any change to the forward
+    /// or backward arithmetic (summation order, skipped zeros, fused
+    /// kernels) moves this hash. Sequential code only, so the hash does
+    /// not depend on the thread count.
+    #[test]
+    fn training_run_bits_are_pinned() {
+        for fused in [false, true] {
+            assert_eq!(
+                fnv1a(&pinned_training_run(fused)),
+                0x9665_6371_eb8a_55af,
+                "fused = {fused}"
+            );
+        }
     }
 
     #[test]

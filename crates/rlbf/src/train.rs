@@ -241,8 +241,7 @@ pub fn pretrain_imitation(
                 let mut w = ac.clone();
                 let mut local_ce = 0.0;
                 for (obs, a) in chunk_data {
-                    local_ce -= w.log_prob(obs, *a);
-                    w.accumulate_policy_grad(obs, *a, 1.0 / n);
+                    local_ce -= w.log_prob_and_grad(obs, *a, |_| 1.0 / n);
                 }
                 (local_ce, w)
             })
@@ -334,11 +333,11 @@ pub fn parallel_ppo_update(
                 let mut w = ac.clone();
                 let mut loss = 0.0;
                 for &i in idxs {
-                    let s = &batch.steps[i];
-                    let v = w.value(&s.obs);
-                    let err = v - batch.returns[i];
-                    loss += err * err;
-                    w.accumulate_value_grad(&s.obs, -2.0 * err / n);
+                    w.value_and_grad(&batch.steps[i].obs, |v| {
+                        let err = v - batch.returns[i];
+                        loss += err * err;
+                        -2.0 * err / n
+                    });
                 }
                 (loss, w)
             })

@@ -170,7 +170,8 @@ mod tests {
         let t = [0.0, 1.0, 1.0, 0.0];
         let mut final_loss = f64::INFINITY;
         for _ in 0..400 {
-            let (y, cache) = mlp.forward_cached(&x);
+            let cache = mlp.forward_cached(&x);
+            let y = cache.output();
             let mut grad = Matrix::zeros(4, 1);
             let mut loss = 0.0;
             for (i, target) in t.iter().enumerate() {

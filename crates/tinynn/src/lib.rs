@@ -15,11 +15,11 @@
 //! let mut opt = Adam::new(AdamConfig::with_lr(1e-3));
 //!
 //! let x = Matrix::zeros(8, 4);
-//! let (y, cache) = net.forward_cached(&x);
+//! let cache = net.forward_cached(&x);
+//! assert_eq!(cache.output().shape(), (8, 1));
 //! let grad = Matrix::from_vec(8, 1, vec![1.0; 8]); // dL/dy
 //! net.backward(&cache, &grad);
 //! opt.step(net.params_and_grads_mut());
-//! assert_eq!(y.shape(), (8, 1));
 //! ```
 
 pub mod adam;

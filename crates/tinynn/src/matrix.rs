@@ -1,20 +1,47 @@
 //! Dense row-major `f64` matrices — the only tensor type the networks need.
 //!
 //! The RLBackfilling networks are tiny (3-layer MLPs with tens of hidden
-//! units over at most a few hundred rows), so a straightforward cache-aware
-//! `matmul` is more than fast enough; correctness and testability beat
-//! micro-optimizations here. `f64` keeps finite-difference gradient checks
-//! tight.
+//! units over at most a few hundred rows), so plain cache-aware loops are
+//! enough. `f64` keeps finite-difference gradient checks tight.
+//!
+//! Two kinds of operation live here. The composed ops (`matmul`,
+//! `transpose`, `add_row_broadcast`, `col_sums`, `hadamard`, ...) each
+//! return a fresh matrix; they are the readable reference. The fused
+//! in-place kernels the training path runs
+//! ([`Matrix::add_transposed_matmul_assign`],
+//! [`Matrix::add_col_sums_assign`], [`Matrix::add_row_map_assign`]) skip
+//! the temporaries but are **bit-identical** to their composed
+//! counterparts: every output element is summed in the same order, from
+//! the same `+0.0` start, skipping the same exact zeros.
+//! `tests/proptest_nn.rs` checks this `to_bits()` for `to_bits()`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Rejects a `data` array whose length is not `rows · cols`, so a corrupt
+/// checkpoint fails to load instead of silently dropping weights or
+/// panicking mid-evaluation.
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let rows: usize = serde::field(v, "rows")?;
+        let cols: usize = serde::field(v, "cols")?;
+        let data: Vec<f64> = serde::field(v, "data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::msg(format!(
+                "matrix data has {} elements, expected rows·cols = {rows}·{cols}",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -124,6 +151,87 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// In-place `self += aᵀ · b`; bit-identical to
+    /// `self.add_scaled_assign(&a.transpose().matmul(b), 1.0)`, without
+    /// materializing `aᵀ` or the product. Panics on shape mismatch.
+    ///
+    /// Row `i` of the product is summed over the rows of `a` in order
+    /// (skipping exact zeros of `a`) in a row-sized scratch, then added to
+    /// row `i` of `self` once. A row with every `a[·][i]` zero is left
+    /// alone: its product is `+0.0`, the identity on any accumulator that
+    /// is not `-0.0`, which a sum started at `+0.0` never is.
+    pub fn add_transposed_matmul_assign(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(
+            (a.rows, self.rows, self.cols),
+            (b.rows, a.cols, b.cols),
+            "add_transposed_matmul shape mismatch: {:?} += {:?}ᵀ × {:?}",
+            self.shape(),
+            a.shape(),
+            b.shape()
+        );
+        if self.cols == 0 {
+            return;
+        }
+        let mut scratch = vec![0.0; self.cols];
+        for (i, out_row) in self.data.chunks_exact_mut(self.cols).enumerate() {
+            scratch.fill(0.0);
+            let mut touched = false;
+            let column = a.data.iter().skip(i).step_by(a.cols);
+            for (&x, b_row) in column.zip(b.data.chunks_exact(b.cols)) {
+                if x == 0.0 {
+                    continue;
+                }
+                touched = true;
+                for (s, &y) in scratch.iter_mut().zip(b_row) {
+                    *s += x * y;
+                }
+            }
+            if touched {
+                for (o, &s) in out_row.iter_mut().zip(&scratch) {
+                    *o += s;
+                }
+            }
+        }
+    }
+
+    /// In-place `self += a.col_sums()`; bit-identical to
+    /// `self.add_scaled_assign(&a.col_sums(), 1.0)`.
+    pub fn add_col_sums_assign(&mut self, a: &Matrix) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (1, a.cols),
+            "add_col_sums shape mismatch"
+        );
+        if a.cols == 0 {
+            return;
+        }
+        let mut sums = vec![0.0; a.cols];
+        for row in a.data.chunks_exact(a.cols) {
+            for (s, &v) in sums.iter_mut().zip(row) {
+                *s += v;
+            }
+        }
+        for (o, s) in self.data.iter_mut().zip(sums) {
+            *o += s;
+        }
+    }
+
+    /// In place, `v ← f(v + bias[c])` for every element `v` in column `c`:
+    /// the bias broadcast and an element-wise map fused into one pass;
+    /// bit-identical to `self.add_row_broadcast(bias).map(f)`.
+    pub fn add_row_map_assign(&mut self, bias: &Matrix, f: impl Fn(f64) -> f64) {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(bias.cols, self.cols, "bias width mismatch");
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, &b) in row.iter_mut().zip(&bias.data) {
+                *v = f(*v + b);
+            }
+        }
     }
 
     /// Transpose.
@@ -316,6 +424,45 @@ mod tests {
         assert_eq!(a.data(), &[1.0, 2.0]);
         a.fill_zero();
         assert_eq!(a.data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn add_transposed_matmul_matches_hand_computation() {
+        // aᵀ·b for a = [[1, 0], [2, 3]], b = [[1, 2], [3, 4]].
+        let a = Matrix::from_vec(2, 2, vec![1., 0., 2., 3.]);
+        let b = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let mut acc = Matrix::from_vec(2, 2, vec![10., 10., 10., 10.]);
+        acc.add_transposed_matmul_assign(&a, &b);
+        assert_eq!(acc.data(), &[17., 20., 19., 22.]);
+        // An empty batch adds nothing.
+        acc.add_transposed_matmul_assign(&Matrix::zeros(0, 2), &Matrix::zeros(0, 2));
+        assert_eq!(acc.data(), &[17., 20., 19., 22.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_transposed_matmul shape mismatch")]
+    fn add_transposed_matmul_rejects_bad_shapes() {
+        let mut acc = Matrix::zeros(3, 2);
+        acc.add_transposed_matmul_assign(&Matrix::zeros(4, 2), &Matrix::zeros(4, 2));
+    }
+
+    #[test]
+    fn deserialize_checks_data_length() {
+        let ok: Matrix = serde_json::from_str(r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0,4.0]}"#)
+            .expect("consistent matrix loads");
+        assert_eq!(ok, Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        for data in ["[1.0]", "[1.0,2.0,3.0,4.0,5.0]"] {
+            let json = format!(r#"{{"rows":2,"cols":2,"data":{data}}}"#);
+            let err = serde_json::from_str::<Matrix>(&json)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("rows·cols = 2·2"),
+                "error names the shape: {err}"
+            );
+        }
+        let huge = r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#;
+        assert!(serde_json::from_str::<Matrix>(huge).is_err());
     }
 
     #[test]

@@ -35,10 +35,10 @@ fn gradcheck(dims: &[usize], hidden: Activation, out: Activation, batch: usize, 
             .sum()
     };
 
-    let (_, cache) = mlp.forward_cached(&x);
+    let cache = mlp.forward_cached(&x);
     let grad_out = Matrix::from_vec(batch, out_dim, coefs.clone());
     mlp.zero_grad();
-    let grad_in = mlp.backward(&cache, &grad_out);
+    let grad_in = mlp.backward_with_input_grad(&cache, &grad_out);
 
     // Parameter gradients.
     let analytic: Vec<Matrix> = mlp.grads().into_iter().cloned().collect();

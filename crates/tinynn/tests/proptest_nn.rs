@@ -1,8 +1,13 @@
 //! Property tests for the neural-network substrate: distribution
-//! invariants over arbitrary logits/masks and linear-algebra identities.
+//! invariants over arbitrary logits/masks, linear-algebra identities, and
+//! the bit-identity of the fused layer kernels.
 
 use proptest::prelude::*;
-use tinynn::{masked_log_softmax, masked_softmax, MaskedCategorical, Matrix};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use tinynn::{
+    masked_log_softmax, masked_softmax, Activation, Linear, MaskedCategorical, Matrix, Mlp,
+};
 
 fn arb_logits_and_mask() -> impl Strategy<Value = (Vec<f64>, Vec<bool>)> {
     (1usize..32).prop_flat_map(|n| {
@@ -54,8 +59,6 @@ proptest! {
     /// [0, ln(valid_count)].
     #[test]
     fn categorical_respects_masks((logits, mask) in arb_logits_and_mask(), seed in 0u64..500) {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let d = MaskedCategorical::new(&logits, &mask);
         prop_assert!(mask[d.argmax()]);
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -98,5 +101,220 @@ proptest! {
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-12);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity oracle: the layer and MLP kernels against the composed
+// `Matrix` ops (`matmul` → `add_row_broadcast` → activation forward;
+// `hadamard(derivative)` → `transpose().matmul` / `col_sums` backward),
+// compared `to_bits()` for `to_bits()`.
+// ---------------------------------------------------------------------
+
+fn arb_activation() -> impl Strategy<Value = Activation> {
+    prop_oneof![
+        Just(Activation::Relu),
+        Just(Activation::Tanh),
+        Just(Activation::Identity),
+    ]
+}
+
+/// Layer widths (2–4 layers), a batch size including the two shapes the
+/// agent runs (1 row for the value net, 65 rows for the policy kernel),
+/// and a seed for the weights and inputs.
+fn arb_net() -> impl Strategy<Value = (Vec<usize>, usize, u64)> {
+    (
+        proptest::collection::vec(1usize..13, 2..5),
+        prop_oneof![Just(1usize), Just(65usize), 2usize..9],
+        any::<u64>(),
+    )
+}
+
+/// A `batch × cols` input with exact zeros injected at random and whole
+/// all-zero rows (observation padding).
+fn input_with_zeros(batch: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let mut x = Matrix::zeros(batch, cols);
+    for r in 0..batch {
+        if rng.random_range(0..4) == 0 {
+            continue; // padding row
+        }
+        for c in 0..cols {
+            if rng.random_range(0..3) != 0 {
+                x.set(r, c, rng.random_range(-2.0..2.0));
+            }
+        }
+    }
+    x
+}
+
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Weights and biases of `mlp`, outermost layer first.
+fn weights(mlp: &Mlp) -> Vec<(Matrix, Matrix)> {
+    let mut m = mlp.clone();
+    let pairs: Vec<Matrix> = m
+        .params_and_grads_mut()
+        .into_iter()
+        .map(|(p, _)| p.clone())
+        .collect();
+    pairs
+        .chunks(2)
+        .map(|wb| (wb[0].clone(), wb[1].clone()))
+        .collect()
+}
+
+/// The composed forward pass: `(pre-activations, layer inputs + output)`.
+fn reference_forward(
+    layers: &[(Matrix, Matrix)],
+    hidden: Activation,
+    out: Activation,
+    x: &Matrix,
+) -> (Vec<Matrix>, Vec<Matrix>) {
+    let mut pres = Vec::new();
+    let mut hs = vec![x.clone()];
+    for (i, (w, b)) in layers.iter().enumerate() {
+        let act = if i + 1 == layers.len() { out } else { hidden };
+        let pre = hs[i].matmul(w).add_row_broadcast(b);
+        hs.push(act.forward(&pre));
+        pres.push(pre);
+    }
+    (pres, hs)
+}
+
+/// The composed backward pass from zeroed gradients, accumulated `times`
+/// times: the parameter gradients (outermost layer first, weight then
+/// bias) and `dL/dinput`.
+fn reference_backward(
+    layers: &[(Matrix, Matrix)],
+    hidden: Activation,
+    out: Activation,
+    x: &Matrix,
+    grad_out: &Matrix,
+    times: usize,
+) -> (Vec<Matrix>, Matrix) {
+    let (pres, hs) = reference_forward(layers, hidden, out, x);
+    let mut acc: Vec<Matrix> = layers
+        .iter()
+        .flat_map(|(w, b)| {
+            [
+                Matrix::zeros(w.rows(), w.cols()),
+                Matrix::zeros(1, b.cols()),
+            ]
+        })
+        .collect();
+    let mut grad_in = Matrix::zeros(0, 0);
+    for _ in 0..times {
+        let mut grad = grad_out.clone();
+        for i in (0..layers.len()).rev() {
+            let act = if i + 1 == layers.len() { out } else { hidden };
+            grad = grad.hadamard(&act.derivative(&pres[i]));
+            acc[2 * i].add_scaled_assign(&hs[i].transpose().matmul(&grad), 1.0);
+            acc[2 * i + 1].add_scaled_assign(&grad.col_sums(), 1.0);
+            grad = grad.matmul(&layers[i].0.transpose());
+        }
+        grad_in = grad;
+    }
+    (acc, grad_in)
+}
+
+proptest! {
+    /// `Linear::forward` is `x·W + b`, bit for bit.
+    #[test]
+    fn linear_forward_is_bit_identical((dims, batch, seed) in arb_net()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let layer = Linear::new(dims[0], dims[1], &mut rng);
+        let mut b = layer.b.clone();
+        for (i, v) in b.data_mut().iter_mut().enumerate() {
+            *v = (i as f64 * 0.37).sin();
+        }
+        let layer = Linear { b, ..layer };
+        let x = input_with_zeros(batch, dims[0], seed);
+        let reference = x.matmul(&layer.w).add_row_broadcast(&layer.b);
+        prop_assert!(same_bits(&layer.forward(&x), &reference));
+    }
+
+    /// `Mlp::forward`, `Mlp::forward_cached` and the parameter gradients
+    /// `Mlp::backward` accumulates (twice, so the accumulation order is
+    /// pinned too) equal the composed reference bit for bit.
+    #[test]
+    fn mlp_forward_and_backward_are_bit_identical(
+        (dims, batch, seed) in arb_net(),
+        hidden in arb_activation(),
+        out in arb_activation(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut mlp = Mlp::new(&dims, hidden, out, &mut rng);
+        // Nonzero biases and a few exact-zero weights.
+        for (k, (p, _)) in mlp.params_and_grads_mut().into_iter().enumerate() {
+            for (i, v) in p.data_mut().iter_mut().enumerate() {
+                if k % 2 == 1 {
+                    *v = ((i + k) as f64 * 0.61).sin() * 0.3;
+                } else if (i * 7 + k) % 11 == 0 {
+                    *v = 0.0;
+                }
+            }
+        }
+        let layers = weights(&mlp);
+        let x = input_with_zeros(batch, dims[0], seed);
+        let out_dim = *dims.last().unwrap();
+        let mut grad_out = input_with_zeros(batch, out_dim, seed.rotate_left(17));
+        grad_out.data_mut()[0] = 0.75;
+
+        let (_, hs) = reference_forward(&layers, hidden, out, &x);
+        let y_ref = hs.last().unwrap();
+        prop_assert!(same_bits(&mlp.forward(&x), y_ref));
+        let cache = mlp.forward_cached(&x);
+        prop_assert!(same_bits(cache.output(), y_ref));
+
+        mlp.zero_grad();
+        mlp.backward(&cache, &grad_out);
+        let grad_in = mlp.backward_with_input_grad(&cache, &grad_out);
+        let (grads_ref, grad_in_ref) =
+            reference_backward(&layers, hidden, out, &x, &grad_out, 2);
+        let grads = mlp.grads();
+        prop_assert_eq!(grads.len(), grads_ref.len());
+        for (k, (g, r)) in grads.iter().zip(&grads_ref).enumerate() {
+            prop_assert!(same_bits(g, r), "parameter {} gradient differs", k);
+        }
+        prop_assert!(same_bits(&grad_in, &grad_in_ref));
+    }
+
+    /// Each fused `Matrix` kernel equals its composed counterpart bit for
+    /// bit.
+    #[test]
+    fn fused_kernels_are_bit_identical(
+        (rows, inner, cols) in (1usize..10, 1usize..12, 1usize..11),
+        seed in any::<u64>(),
+    ) {
+        let a = input_with_zeros(rows, inner, seed);
+
+        // Accumulators never hold -0.0 (sums started at +0.0 cannot reach
+        // it), which is what lets the kernel skip all-zero rows.
+        let g = input_with_zeros(rows, cols, seed.rotate_left(23));
+        let acc = input_with_zeros(inner, cols, seed.rotate_left(31));
+        let mut fused = acc.clone();
+        fused.add_transposed_matmul_assign(&a, &g);
+        let mut composed = acc;
+        composed.add_scaled_assign(&a.transpose().matmul(&g), 1.0);
+        prop_assert!(same_bits(&fused, &composed));
+
+        let acc = input_with_zeros(1, cols, seed.rotate_left(41));
+        let mut fused = acc.clone();
+        fused.add_col_sums_assign(&g);
+        let mut composed = acc;
+        composed.add_scaled_assign(&g.col_sums(), 1.0);
+        prop_assert!(same_bits(&fused, &composed));
+
+        let bias = input_with_zeros(1, cols, seed.rotate_left(47));
+        let mut fused = g.clone();
+        fused.add_row_map_assign(&bias, f64::tanh);
+        prop_assert!(same_bits(&fused, &g.add_row_broadcast(&bias).map(f64::tanh)));
     }
 }
