@@ -8,7 +8,8 @@
 //! * [`buffer`] — trajectory storage ([`RolloutBuffer`]) producing
 //!   normalized training batches;
 //! * [`update`] — the clipped-surrogate update with KL early stopping,
-//!   driving any [`ActorCritic`] implementation.
+//!   driving any [`ActorCritic`] implementation, and the fixed-chunk
+//!   gradient reduction ([`accumulate_chunked`]) every training step uses.
 //!
 //! The crate is deliberately environment-agnostic: `rlbf` supplies the
 //! backfilling environment and the paper's kernel policy / value networks.
@@ -20,5 +21,6 @@ pub mod update;
 pub use buffer::{Batch, RolloutBuffer, Step};
 pub use gae::{discount_cumsum, gae_advantages, normalize, rewards_to_go};
 pub use update::{
-    approx_kl, is_clipped, policy_grad_coef, ppo_update, ActorCritic, PpoConfig, UpdateStats,
+    accumulate_chunked, approx_kl, is_clipped, policy_grad_coef, ppo_update, ActorCritic,
+    PpoConfig, UpdateStats, GRAD_CHUNK,
 };

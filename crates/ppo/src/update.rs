@@ -9,13 +9,21 @@
 //! active and `0` when the clipped branch is active (the clipped branch is
 //! constant in θ). The per-sample coefficient is produced by
 //! [`policy_grad_coef`] and verified against finite differences in tests.
+//!
+//! Every gradient step — the π and V iterations here and `rlbf`'s
+//! imitation passes — sums its per-sample gradients through
+//! [`accumulate_chunked`]: fixed chunks of [`GRAD_CHUNK`] samples merged in
+//! chunk order, so the result depends on the batch alone, never on the
+//! thread count.
 
 use crate::buffer::Batch;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// PPO hyper-parameters. Defaults follow the paper §4.1.1 (80 update
-/// iterations for both networks, learning rate 1e-3) and SpinningUp
-/// conventions for the rest.
+/// iterations for both networks) and SpinningUp conventions for the rest.
+/// Learning rates and the entropy bonus belong to the [`ActorCritic`]'s
+/// own optimizers (`rlbf::NetConfig`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PpoConfig {
     /// Discount factor. 1.0 — episodes are finite with a terminal reward.
@@ -30,12 +38,6 @@ pub struct PpoConfig {
     pub train_v_iters: usize,
     /// Early-stop threshold on the approximate KL divergence.
     pub target_kl: f64,
-    /// Policy learning rate (paper: 1e-3).
-    pub pi_lr: f64,
-    /// Value-function learning rate (paper: 1e-3).
-    pub v_lr: f64,
-    /// Entropy bonus coefficient (0 = SpinningUp default).
-    pub entropy_coef: f64,
 }
 
 impl Default for PpoConfig {
@@ -47,9 +49,6 @@ impl Default for PpoConfig {
             train_pi_iters: 80,
             train_v_iters: 80,
             target_kl: 0.01,
-            pi_lr: 1e-3,
-            v_lr: 1e-3,
-            entropy_coef: 0.0,
         }
     }
 }
@@ -109,7 +108,8 @@ pub fn approx_kl(logp_old: &[f64], logp_new: &[f64]) -> f64 {
 /// `rlbf` implements this with the paper's kernel policy network and MLP
 /// value network; the tests use a tabular implementation. Gradients are
 /// *accumulated* by the `accumulate_*` calls and consumed by the
-/// `*_opt_step` calls (which must also clear them).
+/// `*_opt_step` calls (which must also clear them). [`accumulate_chunked`]
+/// accumulates on clones and sums them back with [`Self::merge_grads_from`].
 pub trait ActorCritic<O> {
     /// Log-probability of `action` at `obs` under the current policy.
     fn log_prob(&self, obs: &O, action: usize) -> f64;
@@ -142,14 +142,92 @@ pub trait ActorCritic<O> {
     /// Applies and clears accumulated value gradients (descent on MSE is
     /// encoded in the sign of the accumulated coefficients).
     fn value_opt_step(&mut self);
+    /// Adds `other`'s accumulated policy and value gradients to this
+    /// instance's (`other` is a clone with the same architecture).
+    fn merge_grads_from(&mut self, other: &Self)
+    where
+        Self: Sized;
+    /// Clears the accumulated policy and value gradients.
+    fn zero_grads(&mut self);
 }
 
-/// Runs one full PPO update (π and V) on a finished batch.
-pub fn ppo_update<O, AC: ActorCritic<O>>(
-    ac: &mut AC,
-    batch: &Batch<O>,
-    cfg: &PpoConfig,
-) -> UpdateStats {
+/// Samples per chunk of [`accumulate_chunked`]. It fixes the float
+/// summation order of every gradient step, so it is a constant rather than
+/// an option: changing it changes training results.
+///
+/// A chunk is the unit of parallel work, so a step takes at least one
+/// chunk's time however many threads run it: smaller chunks spread short
+/// batches over more threads, but each chunk costs a merge and each wave
+/// a thread spawn. At 128, a 566-sample PPO batch is 5 chunks, so 4
+/// threads finish each step within 186 samples of work (256 would take
+/// 256, an even split 142), and 1 and 2 threads run `rlbf::train` as fast
+/// as at 256.
+pub const GRAD_CHUNK: usize = 128;
+
+/// Runs `f(worker, i)` for every sample index `i < n`, adds the gradients
+/// `f` accumulates on the workers to `ac`, and returns `f`'s outputs in
+/// index order.
+///
+/// The indices run in contiguous chunks of [`GRAD_CHUNK`]. Each chunk
+/// accumulates on a clone of `ac` that starts from zero gradients, and the
+/// clones' gradients are added to `ac` in chunk order, so the sums depend
+/// on `n` alone, never on the thread count. From zero gradients on `ac`, a
+/// run of at most [`GRAD_CHUNK`] samples sums exactly like a plain loop
+/// over `ac`. At most `min(current_num_threads(), chunks)` clones are
+/// alive: the chunks run in waves of that width, and each clone is cleared
+/// after its merge and reused by the next wave.
+pub fn accumulate_chunked<O, AC, R, F>(ac: &mut AC, n: usize, f: F) -> Vec<R>
+where
+    AC: ActorCritic<O> + Clone + Send,
+    R: Send,
+    F: Fn(&mut AC, usize) -> R + Sync,
+{
+    accumulate_in_waves(ac, n, rayon::current_num_threads(), f)
+}
+
+/// [`accumulate_chunked`] with `width` worker clones.
+fn accumulate_in_waves<O, AC, R, F>(ac: &mut AC, n: usize, width: usize, f: F) -> Vec<R>
+where
+    AC: ActorCritic<O> + Clone + Send,
+    R: Send,
+    F: Fn(&mut AC, usize) -> R + Sync,
+{
+    let starts: Vec<usize> = (0..n).step_by(GRAD_CHUNK).collect();
+    // Cloned before any merge, then cleared: a worker holding `ac`'s own
+    // gradients would count them twice.
+    let mut worker = ac.clone();
+    worker.zero_grads();
+    let mut workers = vec![worker; width.clamp(1, starts.len().max(1))];
+    let mut out = Vec::with_capacity(n);
+    for wave in starts.chunks(workers.len()) {
+        let outputs: Vec<Vec<R>> = workers
+            .iter_mut()
+            .zip(wave)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|(w, &start)| {
+                (start..n.min(start + GRAD_CHUNK))
+                    .map(|i| f(w, i))
+                    .collect()
+            })
+            .collect();
+        for (w, chunk_out) in workers.iter_mut().zip(outputs) {
+            ac.merge_grads_from(w);
+            w.zero_grads();
+            out.extend(chunk_out);
+        }
+    }
+    out
+}
+
+/// Runs one full PPO update (π and V) on a finished batch, every sample
+/// through one fused network call per iteration, the gradients summed by
+/// [`accumulate_chunked`].
+pub fn ppo_update<O, AC>(ac: &mut AC, batch: &Batch<O>, cfg: &PpoConfig) -> UpdateStats
+where
+    O: Sync,
+    AC: ActorCritic<O> + Clone + Send,
+{
     assert!(!batch.is_empty(), "cannot update on an empty batch");
     let n = batch.len() as f64;
     let logp_old: Vec<f64> = batch.steps.iter().map(|s| s.log_prob).collect();
@@ -158,48 +236,42 @@ pub fn ppo_update<O, AC: ActorCritic<O>>(
     let mut pi_iters_run = 0;
     let mut clip_frac = 0.0;
     for _ in 0..cfg.train_pi_iters {
-        let logp_new: Vec<f64> = batch
-            .steps
-            .iter()
-            .map(|s| ac.log_prob(&s.obs, s.action))
-            .collect();
+        // The gradient's own forward pass yields the new log-prob, which
+        // sets its coefficient and feeds the KL check below.
+        let logp_new = accumulate_chunked(ac, batch.len(), |w, i| {
+            let s = &batch.steps[i];
+            w.log_prob_and_grad(&s.obs, s.action, |lp| {
+                policy_grad_coef(lp, logp_old[i], batch.advantages[i], cfg.clip_ratio) / n
+            })
+        });
         kl = approx_kl(&logp_old, &logp_new);
         if kl > 1.5 * cfg.target_kl {
-            break; // SpinningUp's early stop
+            // SpinningUp's early stop: this iteration's step is never taken.
+            ac.zero_grads();
+            break;
         }
         pi_iters_run += 1;
-        let mut clipped = 0usize;
-        for (i, step) in batch.steps.iter().enumerate() {
-            let coef = policy_grad_coef(
-                logp_new[i],
-                logp_old[i],
-                batch.advantages[i],
-                cfg.clip_ratio,
-            );
-            if is_clipped(logp_new[i], logp_old[i], cfg.clip_ratio) {
-                clipped += 1;
-            }
-            // Ascent on the surrogate (+ optional entropy bonus folded in
-            // by the implementor if entropy_coef > 0).
-            ac.accumulate_policy_grad(&step.obs, step.action, coef / n);
-        }
-        clip_frac = clipped as f64 / n;
+        clip_frac = logp_new
+            .iter()
+            .zip(&logp_old)
+            .filter(|(new, old)| is_clipped(**new, **old, cfg.clip_ratio))
+            .count() as f64
+            / n;
         ac.policy_opt_step();
     }
 
     let mut value_loss = 0.0;
     for _ in 0..cfg.train_v_iters {
-        value_loss = 0.0;
-        for (i, step) in batch.steps.iter().enumerate() {
-            ac.value_and_grad(&step.obs, |v| {
-                let err = v - batch.returns[i];
-                value_loss += err * err;
-                // Descent on MSE: dL/dφ = 2·err·∇V / n, so accumulate the
-                // negative.
-                -2.0 * err / n
-            });
-        }
-        value_loss /= n;
+        // Descent on MSE: dL/dφ = 2·err·∇V / n, so accumulate the negative.
+        let values = accumulate_chunked(ac, batch.len(), |w, i| {
+            w.value_and_grad(&batch.steps[i].obs, |v| -2.0 * (v - batch.returns[i]) / n)
+        });
+        value_loss = values
+            .iter()
+            .zip(&batch.returns)
+            .map(|(v, r)| (v - r) * (v - r))
+            .sum::<f64>()
+            / n;
         ac.value_opt_step();
     }
 
@@ -258,6 +330,7 @@ mod tests {
 
     /// A two-armed bandit with a tabular softmax policy: arm 1 pays 1,
     /// arm 0 pays 0. PPO must drive the policy towards arm 1.
+    #[derive(Debug, Clone, PartialEq)]
     struct Bandit {
         logits: [f64; 2],
         grad: [f64; 2],
@@ -300,6 +373,147 @@ mod tests {
         fn value_opt_step(&mut self) {
             self.value += self.lr * self.value_grad;
             self.value_grad = 0.0;
+        }
+        fn merge_grads_from(&mut self, other: &Self) {
+            for i in 0..2 {
+                self.grad[i] += other.grad[i];
+            }
+            self.value_grad += other.value_grad;
+        }
+        fn zero_grads(&mut self) {
+            self.grad = [0.0, 0.0];
+            self.value_grad = 0.0;
+        }
+    }
+
+    /// An actor-critic over scalar observations `x` whose gradients are
+    /// the plain sums `Σ coef · x`: with mixed magnitudes, the float result
+    /// depends on the order of the additions. At `theta = phi = 0` every
+    /// log-prob is `-1` and every value `0`.
+    #[derive(Debug, Clone, Default)]
+    struct Summer {
+        theta: f64,
+        phi: f64,
+        grad: f64,
+        value_grad: f64,
+    }
+
+    impl ActorCritic<f64> for Summer {
+        fn log_prob(&self, x: &f64, _action: usize) -> f64 {
+            self.theta * x - 1.0
+        }
+        fn value(&self, x: &f64) -> f64 {
+            self.phi * x
+        }
+        fn accumulate_policy_grad(&mut self, x: &f64, _action: usize, coef: f64) {
+            self.grad += coef * x;
+        }
+        fn accumulate_value_grad(&mut self, x: &f64, coef: f64) {
+            self.value_grad += coef * x;
+        }
+        fn policy_opt_step(&mut self) {
+            self.theta += self.grad;
+            self.grad = 0.0;
+        }
+        fn value_opt_step(&mut self) {
+            self.phi += self.value_grad;
+            self.value_grad = 0.0;
+        }
+        fn merge_grads_from(&mut self, other: &Self) {
+            self.grad += other.grad;
+            self.value_grad += other.value_grad;
+        }
+        fn zero_grads(&mut self) {
+            self.grad = 0.0;
+            self.value_grad = 0.0;
+        }
+    }
+
+    /// Mixed-magnitude observations, 1e-8 to 1e14 with alternating signs.
+    fn mixed_xs(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let x = 10f64.powi((i * 7 % 23) as i32 - 8) * (1.0 + i as f64 * 1e-3);
+                if i % 2 == 0 {
+                    x
+                } else {
+                    -x
+                }
+            })
+            .collect()
+    }
+
+    /// The sum of `terms` over [`GRAD_CHUNK`] chunks merged in order, and
+    /// the plain left-to-right sum.
+    fn chunked_and_plain_sums(terms: &[f64]) -> (f64, f64) {
+        let chunked = terms
+            .chunks(GRAD_CHUNK)
+            .map(|c| c.iter().fold(0.0, |g, t| g + t))
+            .fold(0.0, |g, s| g + s);
+        (chunked, terms.iter().fold(0.0, |g, t| g + t))
+    }
+
+    #[test]
+    fn update_sums_gradients_over_fixed_chunks_in_order() {
+        let xs = mixed_xs(3 * GRAD_CHUNK + 17);
+        let n = xs.len() as f64;
+        let batch = Batch {
+            steps: xs
+                .iter()
+                .map(|&x| Step {
+                    obs: x,
+                    action: 0,
+                    reward: 0.0,
+                    value: 0.0,
+                    log_prob: -1.0,
+                })
+                .collect(),
+            advantages: (0..xs.len()).map(|i| (i % 5) as f64 - 2.0).collect(),
+            returns: (0..xs.len()).map(|i| 1.0 + (i % 3) as f64).collect(),
+        };
+        let cfg = PpoConfig {
+            train_pi_iters: 1,
+            train_v_iters: 1,
+            ..PpoConfig::default()
+        };
+        let mut ac = Summer::default();
+        let stats = ppo_update(&mut ac, &batch, &cfg);
+        assert_eq!(stats.pi_iters_run, 1);
+
+        // The same gradients folded by hand: ratio 1 everywhere, value 0.
+        let pi_terms: Vec<f64> = (0..xs.len())
+            .map(|i| policy_grad_coef(-1.0, -1.0, batch.advantages[i], cfg.clip_ratio) / n * xs[i])
+            .collect();
+        let v_terms: Vec<f64> = (0..xs.len())
+            .map(|i| -2.0 * (0.0 - batch.returns[i]) / n * xs[i])
+            .collect();
+        for (terms, got) in [(pi_terms, ac.theta), (v_terms, ac.phi)] {
+            let (chunked, plain) = chunked_and_plain_sums(&terms);
+            assert_ne!(chunked, plain, "the terms must be order-sensitive");
+            assert_eq!(got.to_bits(), chunked.to_bits(), "{got} vs {chunked}");
+        }
+    }
+
+    #[test]
+    fn chunked_reduction_is_independent_of_the_worker_count() {
+        let xs = mixed_xs(4 * GRAD_CHUNK + 3);
+        let run = |width: usize| {
+            // A gradient already on `ac` is kept and counted once.
+            let mut ac = Summer {
+                grad: 0.5,
+                ..Summer::default()
+            };
+            let out = accumulate_in_waves(&mut ac, xs.len(), width, |w, i| {
+                w.accumulate_policy_grad(&xs[i], 0, 1.0);
+                i
+            });
+            assert_eq!(out, (0..xs.len()).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(ac.value_grad, 0.0);
+            ac.grad.to_bits()
+        };
+        let (chunked, _) = chunked_and_plain_sums(&xs);
+        for width in 1..=6 {
+            assert_eq!(run(width), (0.5 + chunked).to_bits(), "width {width}");
         }
     }
 
@@ -379,8 +593,9 @@ mod tests {
     #[test]
     fn early_stop_respects_target_kl() {
         // An aggressive learning rate forces KL past the threshold fast;
-        // pi_iters_run must fall short of train_pi_iters.
-        let mut bandit = Bandit {
+        // pi_iters_run must fall short of train_pi_iters. The wide clip
+        // keeps the tripping iteration's gradient nonzero.
+        let bandit = Bandit {
             logits: [0.0, 0.0],
             grad: [0.0, 0.0],
             value: 0.0,
@@ -390,6 +605,7 @@ mod tests {
         let cfg = PpoConfig {
             train_pi_iters: 80,
             target_kl: 0.001,
+            clip_ratio: 10.0,
             ..PpoConfig::default()
         };
         let mut buf = RolloutBuffer::new(1.0, 1.0);
@@ -406,12 +622,24 @@ mod tests {
                 0.0,
             );
         }
-        let stats = ppo_update(&mut bandit, &buf.into_batch(), &cfg);
+        let batch = buf.into_batch();
+        let mut tripped = bandit.clone();
+        let stats = ppo_update(&mut tripped, &batch, &cfg);
         assert!(
-            stats.pi_iters_run < 80,
-            "expected KL early stop, ran {} iters",
+            (1..80).contains(&stats.pi_iters_run),
+            "expected KL early stop after a step, ran {} iters",
             stats.pi_iters_run
         );
+        // The iteration that trips the check has already accumulated its
+        // gradient; the update must end exactly as one capped at the
+        // iterations that stepped.
+        let capped_cfg = PpoConfig {
+            train_pi_iters: stats.pi_iters_run,
+            ..cfg
+        };
+        let mut capped = bandit;
+        ppo_update(&mut capped, &batch, &capped_cfg);
+        assert_eq!(tripped, capped);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   reward and violation penalty (§3.4).
 //! * [`train`] — the PPO training loop (§4.1.1: 100 trajectories × 256
 //!   jobs per epoch, 80 update iterations, lr 1e-3), with rayon-parallel
-//!   trajectory collection and gradient accumulation.
+//!   trajectory collection, and gradients summed over fixed
+//!   [`ppo::GRAD_CHUNK`]-sample chunks in chunk order, so the trained agent
+//!   does not depend on the thread count.
 //! * [`agent`] — greedy deployment, the 10×1024-job evaluation protocol of
 //!   §4.3, and JSON checkpointing.
 //! * [`scenario`] — the RL side of the `hpcsim::scenario` experiment API:

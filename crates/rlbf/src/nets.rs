@@ -143,12 +143,6 @@ impl BackfillActorCritic {
         self.policy_opt = Adam::new(AdamConfig::with_lr(lr));
     }
 
-    /// Merges gradient accumulators from a worker clone (parallel update).
-    pub fn merge_grads_from(&mut self, other: &Self) {
-        merge_mlp_grads(&mut self.policy, &other.policy);
-        merge_mlp_grads(&mut self.value, &other.value);
-    }
-
     /// Backpropagates `coef · ∇ log π(action)`, plus the entropy bonus,
     /// through a cached policy forward pass.
     fn policy_backward(&mut self, cache: &MlpCache, mask: &[bool], action: usize, coef: f64) {
@@ -233,10 +227,20 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     fn value_opt_step(&mut self) {
         ascent_step(&mut self.value, &mut self.value_opt);
     }
+
+    fn merge_grads_from(&mut self, other: &Self) {
+        merge_mlp_grads(&mut self.policy, &other.policy);
+        merge_mlp_grads(&mut self.value, &other.value);
+    }
+
+    fn zero_grads(&mut self) {
+        self.policy.zero_grad();
+        self.value.zero_grad();
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tiny_cfg() -> NetConfig {
@@ -385,7 +389,7 @@ mod tests {
     }
 
     /// FNV-1a over the bytes of `s`.
-    fn fnv1a(s: &str) -> u64 {
+    pub(crate) fn fnv1a(s: &str) -> u64 {
         s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
@@ -451,7 +455,7 @@ mod tests {
             losses.push(ce);
         }
 
-        // Sequential PPO updates on one fixed trajectory.
+        // PPO updates on one fixed trajectory.
         let ppo_cfg = ppo::PpoConfig {
             train_pi_iters: 3,
             train_v_iters: 3,
@@ -487,8 +491,9 @@ mod tests {
 
     /// Pins the bits of a short training run: any change to the forward
     /// or backward arithmetic (summation order, skipped zeros, fused
-    /// kernels) moves this hash. Sequential code only, so the hash does
-    /// not depend on the thread count.
+    /// kernels) moves this hash. Every step fits one [`ppo::GRAD_CHUNK`]
+    /// chunk, so `ppo_update` sums exactly like a plain loop here; the
+    /// multi-chunk sums are pinned in `train`'s tests.
     #[test]
     fn training_run_bits_are_pinned() {
         for fused in [false, true] {

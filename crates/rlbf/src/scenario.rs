@@ -328,7 +328,21 @@ mod tests {
         let cfg = TrainConfig::smoke();
         let slot = agent_slot(&cfg.env, Some(&cfg), Some("ckpt.json".into()));
         assert_eq!(slot_env_config(&slot).unwrap(), cfg.env);
-        assert_eq!(slot_train_config(&slot).unwrap(), Some(cfg));
+        assert_eq!(slot_train_config(&slot).unwrap(), Some(cfg.clone()));
+        // Specs written while `PpoConfig` still had `pi_lr`, `v_lr` and
+        // `entropy_coef` decode to the same config: unknown keys are ignored.
+        let mut legacy = slot.clone();
+        let Some(serde::Value::Object(train)) = &mut legacy.train else {
+            panic!("the train config is a JSON object");
+        };
+        let Some((_, serde::Value::Object(ppo))) = train.iter_mut().find(|(k, _)| k == "ppo")
+        else {
+            panic!("the train config has a ppo object");
+        };
+        for key in ["pi_lr", "v_lr", "entropy_coef"] {
+            ppo.push((key.into(), serde::Value::Number(serde::Number::F64(0.5))));
+        }
+        assert_eq!(slot_train_config(&legacy).unwrap(), Some(cfg));
         let empty = AgentSlot::default();
         assert_eq!(slot_env_config(&empty).unwrap(), EnvConfig::default());
         assert_eq!(slot_train_config(&empty).unwrap(), None);

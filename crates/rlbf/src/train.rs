@@ -5,20 +5,27 @@
 //! sampling policy (trajectory collection is embarrassingly parallel —
 //! workers share the read-only networks), merge into a GAE buffer, then run
 //! the PPO-clip update (80 policy + 80 value iterations by default, learning
-//! rate 1e-3, as in the paper). Gradient accumulation inside the update is
-//! also parallelized: workers accumulate into clones and the trainer merges.
+//! rate 1e-3, as in the paper). Every gradient step — the imitation passes
+//! and both PPO phases — sums its samples through
+//! [`ppo::accumulate_chunked`]: fixed chunks of [`ppo::GRAD_CHUNK`] samples,
+//! each on a worker clone, merged in chunk order. The trained agent thus
+//! depends on the seed alone, not on the host's thread count.
 
 use crate::env::{BackfillEnv, EnvConfig};
 use crate::nets::{BackfillActorCritic, NetConfig};
 use crate::obs::Observation;
 use hpcsim::{Platform, Policy};
-use ppo::update::{approx_kl, is_clipped, policy_grad_coef};
-use ppo::{ActorCritic, Batch, PpoConfig, RolloutBuffer, Step, UpdateStats};
+use ppo::{
+    accumulate_chunked, ppo_update, ActorCritic, PpoConfig, RolloutBuffer, Step, UpdateStats,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use swf::Trace;
+
+/// The one PPO update, under the name the repo benchmark imports.
+pub use ppo::ppo_update as parallel_ppo_update;
 
 /// Training configuration. Defaults follow §4.1.1 of the paper, except
 /// `epochs`, which the paper varies per trace (its Figure 4 curves run for
@@ -43,8 +50,9 @@ pub struct TrainConfig {
     pub platform: Platform,
     /// Network architecture.
     pub net: NetConfig,
-    /// Master seed: training is fully deterministic given the seed and
-    /// thread-count-independent (per-trajectory RNG streams).
+    /// Master seed: training is fully deterministic given the seed, and
+    /// independent of the thread count (per-trajectory RNG streams; gradient
+    /// sums over fixed [`ppo::GRAD_CHUNK`] chunks merged in chunk order).
     pub seed: u64,
     /// Episodes of EASY demonstrations collected for the imitation
     /// warm-start (0 disables pretraining). The paper trains from scratch
@@ -211,7 +219,29 @@ pub fn pretrain_imitation(
     episodes: usize,
     passes: usize,
 ) -> f64 {
-    let data: Vec<(Observation, usize)> = (0..episodes)
+    let data = demonstrations(trace, cfg, episodes);
+    if data.is_empty() {
+        return 0.0;
+    }
+    ac.reset_policy_optimizer(cfg.pretrain_lr);
+    let n = data.len() as f64;
+    let mut ce = 0.0;
+    for _ in 0..passes {
+        let log_probs = accumulate_chunked(ac, data.len(), |w, i| {
+            w.log_prob_and_grad(&data[i].0, data[i].1, |_| 1.0 / n)
+        });
+        ce = -log_probs.iter().sum::<f64>() / n;
+        ac.policy_opt_step();
+    }
+    // Hand the networks to PPO with fresh optimizer state at the PPO rate.
+    ac.reset_policy_optimizer(ac.config().pi_lr);
+    ce
+}
+
+/// The `(observation, EASY action)` pairs of `episodes` demonstration
+/// episodes, in episode order.
+fn demonstrations(trace: &Trace, cfg: &TrainConfig, episodes: usize) -> Vec<(Observation, usize)> {
+    (0..episodes)
         .into_par_iter()
         .flat_map(|e| {
             let mut rng = SmallRng::seed_from_u64(traj_seed(cfg.seed ^ 0xbc17, 0, e));
@@ -226,35 +256,7 @@ pub fn pretrain_imitation(
             }
             out
         })
-        .collect();
-    if data.is_empty() {
-        return 0.0;
-    }
-    ac.reset_policy_optimizer(cfg.pretrain_lr);
-    let n = data.len() as f64;
-    let chunk = data.len().div_ceil(rayon::current_num_threads().max(1));
-    let mut ce = 0.0;
-    for _ in 0..passes {
-        let workers: Vec<(f64, BackfillActorCritic)> = data
-            .par_chunks(chunk)
-            .map(|chunk_data| {
-                let mut w = ac.clone();
-                let mut local_ce = 0.0;
-                for (obs, a) in chunk_data {
-                    local_ce -= w.log_prob_and_grad(obs, *a, |_| 1.0 / n);
-                }
-                (local_ce, w)
-            })
-            .collect();
-        ce = workers.iter().map(|(c, _)| c).sum::<f64>() / n;
-        for (_, w) in &workers {
-            ac.merge_grads_from(w);
-        }
-        ac.policy_opt_step();
-    }
-    // Hand the networks to PPO with fresh optimizer state at the PPO rate.
-    ac.reset_policy_optimizer(ac.config().pi_lr);
-    ce
+        .collect()
 }
 
 /// Deterministic per-trajectory seed stream.
@@ -264,97 +266,6 @@ fn traj_seed(master: u64, epoch: usize, traj: usize) -> u64 {
         .wrapping_add(0xbf58_476d_1ce4_e5b9u64.wrapping_mul(1 + traj as u64));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z ^ (z >> 31)
-}
-
-/// PPO update with rayon-parallel forward passes and gradient accumulation.
-/// Mathematically identical to [`ppo::ppo_update`] (same coefficient
-/// functions, same early stop); covered by an equivalence test below.
-pub fn parallel_ppo_update(
-    ac: &mut BackfillActorCritic,
-    batch: &Batch<Observation>,
-    cfg: &PpoConfig,
-) -> UpdateStats {
-    assert!(!batch.is_empty(), "cannot update on an empty batch");
-    let n = batch.len() as f64;
-    let logp_old: Vec<f64> = batch.steps.iter().map(|s| s.log_prob).collect();
-    let chunk = batch.len().div_ceil(rayon::current_num_threads().max(1));
-
-    let mut kl = 0.0;
-    let mut pi_iters_run = 0;
-    let mut clip_frac = 0.0;
-    for _ in 0..cfg.train_pi_iters {
-        let logp_new: Vec<f64> = batch
-            .steps
-            .par_iter()
-            .map(|s| ac.log_prob(&s.obs, s.action))
-            .collect();
-        kl = approx_kl(&logp_old, &logp_new);
-        if kl > 1.5 * cfg.target_kl {
-            break;
-        }
-        pi_iters_run += 1;
-        clip_frac = logp_new
-            .iter()
-            .zip(&logp_old)
-            .filter(|(n_, o)| is_clipped(**n_, **o, cfg.clip_ratio))
-            .count() as f64
-            / n;
-
-        let workers: Vec<BackfillActorCritic> = (0..batch.len())
-            .collect::<Vec<_>>()
-            .par_chunks(chunk)
-            .map(|idxs| {
-                let mut w = ac.clone();
-                for &i in idxs {
-                    let s = &batch.steps[i];
-                    let coef = policy_grad_coef(
-                        logp_new[i],
-                        logp_old[i],
-                        batch.advantages[i],
-                        cfg.clip_ratio,
-                    );
-                    w.accumulate_policy_grad(&s.obs, s.action, coef / n);
-                }
-                w
-            })
-            .collect();
-        for w in &workers {
-            ac.merge_grads_from(w);
-        }
-        ac.policy_opt_step();
-    }
-
-    let mut value_loss = 0.0;
-    for _ in 0..cfg.train_v_iters {
-        let outcomes: Vec<(f64, BackfillActorCritic)> = (0..batch.len())
-            .collect::<Vec<_>>()
-            .par_chunks(chunk)
-            .map(|idxs| {
-                let mut w = ac.clone();
-                let mut loss = 0.0;
-                for &i in idxs {
-                    w.value_and_grad(&batch.steps[i].obs, |v| {
-                        let err = v - batch.returns[i];
-                        loss += err * err;
-                        -2.0 * err / n
-                    });
-                }
-                (loss, w)
-            })
-            .collect();
-        value_loss = outcomes.iter().map(|(l, _)| l).sum::<f64>() / n;
-        for (_, w) in &outcomes {
-            ac.merge_grads_from(w);
-        }
-        ac.value_opt_step();
-    }
-
-    UpdateStats {
-        approx_kl: kl,
-        pi_iters_run,
-        value_loss,
-        clip_frac,
-    }
 }
 
 /// Trains an RLBackfilling agent on `trace`.
@@ -403,7 +314,7 @@ pub fn train(trace: &Trace, cfg: TrainConfig) -> TrainResult {
                 clip_frac: 0.0,
             }
         } else {
-            parallel_ppo_update(&mut ac, &batch, &cfg.ppo)
+            ppo_update(&mut ac, &batch, &cfg.ppo)
         };
 
         history.push(EpochStats {
@@ -426,7 +337,6 @@ pub fn train(trace: &Trace, cfg: TrainConfig) -> TrainResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppo::ppo_update;
     use swf::TracePreset;
 
     #[test]
@@ -454,39 +364,38 @@ mod tests {
         assert_eq!(a.ac.to_json(), b.ac.to_json());
     }
 
+    /// Pins the bytes of an agent trained through multi-chunk gradient
+    /// steps: the demonstration set spans at least 2 [`ppo::GRAD_CHUNK`]
+    /// chunks and the PPO batch at least 3. The hash must be equal under
+    /// any thread count, e.g. under `taskset -c 0` and `taskset -c 0-2`.
     #[test]
-    fn parallel_update_matches_sequential_reference() {
-        // Collect a small real batch, then run the rayon update and the
-        // generic ppo::ppo_update from identical initial networks; they
-        // must produce the same networks up to float associativity.
-        let trace = TracePreset::Lublin2.generate(400, 43);
-        let cfg = TrainConfig::smoke();
-        let ac0 = BackfillActorCritic::new(cfg.net.clone(), 7);
-        let mut buffer = RolloutBuffer::new(cfg.ppo.gamma, cfg.ppo.lambda);
-        for t in 0..4 {
-            let o = collect_trajectory(&trace, &ac0, &cfg, traj_seed(9, 0, t));
-            buffer.absorb_trajectory(o.steps, 0.0);
-        }
-        let batch = buffer.into_batch();
-        assert!(!batch.is_empty());
-
-        let ppo_cfg = PpoConfig {
-            train_pi_iters: 3,
-            train_v_iters: 3,
-            ..cfg.ppo
+    fn multi_chunk_training_bits_are_pinned() {
+        let trace = TracePreset::Lublin2.generate(600, 41);
+        let cfg = TrainConfig {
+            epochs: 1,
+            traj_per_epoch: 16,
+            pretrain_episodes: 4,
+            pretrain_passes: 2,
+            ppo: PpoConfig {
+                train_pi_iters: 2,
+                train_v_iters: 2,
+                ..PpoConfig::default()
+            },
+            ..TrainConfig::smoke()
         };
-        let mut par = ac0.clone();
-        let s1 = parallel_ppo_update(&mut par, &batch, &ppo_cfg);
-        let mut seq = ac0.clone();
-        let s2 = ppo_update(&mut seq, &batch, &ppo_cfg);
-
-        assert_eq!(s1.pi_iters_run, s2.pi_iters_run);
-        let probe = &batch.steps[0].obs;
-        let (lp, ls) = (par.logits(probe), seq.logits(probe));
-        for (a, b) in lp.iter().zip(&ls) {
-            assert!((a - b).abs() < 1e-9, "parallel {a} vs sequential {b}");
-        }
-        assert!((par.value_of(probe) - seq.value_of(probe)).abs() < 1e-9);
+        let demos = demonstrations(&trace, &cfg, cfg.pretrain_episodes).len();
+        assert!(demos > ppo::GRAD_CHUNK, "{demos} demonstrations");
+        let result = train(&trace, cfg.clone());
+        // Skips are steps too, so the batch holds at least the decisions.
+        let decisions = result.history[0].mean_decisions * cfg.traj_per_epoch as f64;
+        assert!(
+            decisions > (2 * ppo::GRAD_CHUNK) as f64,
+            "{decisions} decisions"
+        );
+        assert_eq!(
+            crate::nets::tests::fnv1a(&result.ac.to_json()),
+            0xa275_4d53_1b58_b581
+        );
     }
 
     #[test]
