@@ -4,9 +4,10 @@
 //!
 //! The seed's conservative pass is `O(n³)`-ish and takes seconds per run
 //! at 10K jobs, so the heaviest seed cases are gated behind the `full`
-//! filter argument (`cargo bench -p bench --bench kernel -- full`); the
-//! committed headline numbers live in `results/bench_kernel.json`
-//! (emitted by `cargo run --release -p bench --bin speed_probe`).
+//! filter argument (`cargo bench -p bench --bench kernel -- full`). This
+//! is the only seed-vs-kernel timing; repeatable end-to-end scheduling
+//! numbers come from `crates/benchmark` (`sched-1m`, `cluster-4p`), and
+//! `results/bench_kernel.json` is a frozen single-shot record.
 
 use bench::TRACE_SEED;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -78,9 +79,8 @@ fn bench_conservative_kernel_vs_seed(c: &mut Criterion) {
             )
         })
     });
-    // The incremental-planner headline case: 10k jobs was seconds-scale
-    // before persistent plans landed, so it lives here (kernel-only, per
-    // commit) and not just in speed_probe.
+    // The incremental-planner headline case, kernel-only: the seed's
+    // conservative pass takes seconds per run at 10k jobs.
     let trace10k = TracePreset::Lublin1.generate(10_000, TRACE_SEED);
     group.bench_with_input(BenchmarkId::new("kernel", 10_000), &trace10k, |b, t| {
         b.iter(|| {

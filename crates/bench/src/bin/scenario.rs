@@ -36,9 +36,8 @@
 //! job's lifecycle with `--job ID`) to stdout. `audit` writes the full
 //! audit log — typed per-job records, wait-cause attribution, Gantt
 //! timeline — as JSON. `audit-diff` compares two exported logs and
-//! reports the **first divergent record** (exit 1), the debugging tool
-//! for the sharded-simulation and calendar-queue roadmap items; identical
-//! logs exit 0.
+//! reports the **first divergent record** (exit 1); identical logs exit
+//! 0.
 
 use bench::{report_table, write_reports, TRACE_SEED};
 use hpcsim::prelude::*;

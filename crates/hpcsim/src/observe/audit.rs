@@ -8,8 +8,7 @@
 //! repairs, migrations, starts (with their kind), and completions. The
 //! log is **deterministic and wall-clock-free** — a pure function of the
 //! realized schedule — so two logs of the same spec compare equal and the
-//! *first divergent record* pinpoints where two engine variants part ways
-//! (the debugging tool the sharded/calendar-queue roadmap items need).
+//! *first divergent record* pinpoints where two engine variants part ways.
 //!
 //! On top of the raw log, the probe maintains a per-job wait decomposition
 //! ([`WaitBreakdown`]): every waiting job's time is classified at each

@@ -38,20 +38,16 @@ impl RlbfAgent {
     /// Schedules `trace` to completion, taking greedy (argmax) backfilling
     /// decisions — the paper's test-time behaviour (§3.3.1).
     pub fn schedule(&self, trace: &Trace, base_policy: Policy) -> Metrics {
-        self.schedule_on(trace, base_policy, &Platform::flat())
+        self.schedule_on_counted(trace, base_policy, &Platform::flat())
+            .0
     }
 
     /// [`Self::schedule`] on an explicit [`Platform`] (cluster shape +
     /// router) — the deployment path for `hpcsim::scenario` specs whose
-    /// agent slot runs on a partitioned machine.
-    pub fn schedule_on(&self, trace: &Trace, base_policy: Policy, platform: &Platform) -> Metrics {
-        self.schedule_on_counted(trace, base_policy, platform).0
-    }
-
-    /// [`Self::schedule_on`] also reporting the number of trace jobs the
-    /// platform could not route (the simulation's authoritative dropped
-    /// count, so agent reports agree with heuristic reports field by
-    /// field).
+    /// agent slot runs on a partitioned machine — also reporting the
+    /// number of trace jobs the platform could not route (the
+    /// simulation's authoritative dropped count, so agent reports agree
+    /// with heuristic reports field by field).
     pub fn schedule_on_counted(
         &self,
         trace: &Trace,
@@ -131,62 +127,6 @@ impl RlbfAgent {
         let json = std::fs::read_to_string(path)?;
         serde_json::from_str(&json)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Per-window evaluation statistics — [`RlbfAgent::evaluate`] reports only
-/// the mean (the paper's protocol); this carries the spread as well.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EvalReport {
-    /// Mean bounded slowdown over the windows.
-    pub mean: f64,
-    /// Population standard deviation over the windows.
-    pub std: f64,
-    /// Minimum window bsld.
-    pub min: f64,
-    /// Maximum window bsld.
-    pub max: f64,
-    /// Per-window bsld, in sampling order.
-    pub per_window: Vec<f64>,
-}
-
-impl EvalReport {
-    /// Aggregates per-window results.
-    pub fn from_samples(per_window: Vec<f64>) -> Self {
-        let n = per_window.len().max(1) as f64;
-        let mean = per_window.iter().sum::<f64>() / n;
-        let var = per_window
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / n;
-        Self {
-            mean,
-            std: var.sqrt(),
-            min: per_window.iter().copied().fold(f64::INFINITY, f64::min),
-            max: per_window.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            per_window,
-        }
-    }
-}
-
-impl RlbfAgent {
-    /// Like [`Self::evaluate`] but returning the full spread across
-    /// windows, not just the mean.
-    pub fn evaluate_detailed(
-        &self,
-        trace: &Trace,
-        base_policy: Policy,
-        samples: usize,
-        window_len: usize,
-        seed: u64,
-    ) -> EvalReport {
-        let windows = sample_windows(trace, samples, window_len, seed);
-        let per_window: Vec<f64> = windows
-            .par_iter()
-            .map(|w| self.schedule(w, base_policy).mean_bounded_slowdown)
-            .collect();
-        EvalReport::from_samples(per_window)
     }
 }
 
@@ -309,25 +249,6 @@ mod tests {
             back.schedule(&w, Policy::Fcfs).mean_bounded_slowdown
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn eval_report_statistics_are_consistent() {
-        let r = EvalReport::from_samples(vec![2.0, 4.0, 6.0]);
-        assert!((r.mean - 4.0).abs() < 1e-12);
-        assert_eq!((r.min, r.max), (2.0, 6.0));
-        assert!((r.std - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(r.per_window.len(), 3);
-    }
-
-    #[test]
-    fn evaluate_detailed_mean_matches_evaluate() {
-        let trace = TracePreset::Lublin2.generate(600, 54);
-        let agent = quick_agent(&trace);
-        let mean = agent.evaluate(&trace, Policy::Fcfs, 4, 128, 3);
-        let detailed = agent.evaluate_detailed(&trace, Policy::Fcfs, 4, 128, 3);
-        assert!((mean - detailed.mean).abs() < 1e-12);
-        assert!(detailed.min <= detailed.mean && detailed.mean <= detailed.max);
     }
 
     #[test]
