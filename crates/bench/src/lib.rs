@@ -13,7 +13,7 @@ use hpcsim::prelude::*;
 use rlbf::prelude::*;
 use rlbf::ObsConfig;
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use swf::{Trace, TracePreset, TraceSource};
 
 pub mod scale;
@@ -214,11 +214,6 @@ pub fn obs_configs(max_obsv_size: usize) -> (EnvConfig, NetConfig) {
             ..NetConfig::default()
         },
     )
-}
-
-/// Checks a path exists relative to the workspace (used by smoke tests).
-pub fn workspace_file(rel: &str) -> bool {
-    Path::new(rel).exists()
 }
 
 #[cfg(test)]

@@ -11,18 +11,13 @@
 //! * [`EventQueue`] — a `BinaryHeap`-backed future-event list with **stable
 //!   FIFO tie-breaking**: events scheduled for the same instant execute in
 //!   scheduling order, making every schedule deterministic.
-//! * [`Event`] / [`SimState`] — the execution contract (desque-style, but
-//!   with *typed* event payloads instead of boxed closures: an event enum
-//!   per simulation, no per-event allocation).
-//! * [`Simulation`] — the run loop: pop, advance the clock, execute;
-//!   supports both run-to-completion and stepping, which is what lets a
-//!   driver pause at decision points (how `hpcsim` exposes backfilling
-//!   opportunities to heuristics and the RL agent).
 //! * [`Replicator`] — N independent replications with decorrelated
 //!   per-replication seeds, fanned out across OS threads.
-//! * [`KernelProbe`] — run-loop instrumentation: `run_with`/`step_with`
-//!   report each executed event's time and the heap depth to a probe;
-//!   the default [`NoopKernelProbe`] monomorphizes to the plain loop.
+//!
+//! There is no run loop here: `hpcsim::Simulation` drives the queue itself
+//! (`advance` / `apply_due_events`), because the scheduler must pause at
+//! every decision point to hand the backfilling choice to a heuristic or
+//! the RL agent.
 //!
 //! # Determinism
 //!
@@ -32,37 +27,11 @@
 //! seeded from a SplitMix64 stream of the master seed, so a replication's
 //! result depends only on `(master seed, replication index)` — never on
 //! thread scheduling.
-//!
-//! ```
-//! use desim::{Event, EventQueue, SimTime, Simulation};
-//!
-//! /// Count arrivals in a tiny Poisson-ish process.
-//! struct Counter { seen: usize, horizon: SimTime }
-//! impl desim::SimState for Counter {
-//!     fn is_complete(&self, now: SimTime) -> bool { now > self.horizon }
-//! }
-//! enum Tick { Arrive }
-//! impl Event<Counter> for Tick {
-//!     fn execute(self, state: &mut Counter, queue: &mut EventQueue<Self>) {
-//!         state.seen += 1;
-//!         let next = queue.now() + 1.0;
-//!         queue.schedule(next, Tick::Arrive);
-//!     }
-//! }
-//! let mut sim = Simulation::new(Counter { seen: 0, horizon: SimTime::new(10.0) });
-//! sim.queue_mut().schedule(SimTime::ZERO, Tick::Arrive);
-//! sim.run();
-//! assert_eq!(sim.state().seen, 11); // t = 0, 1, …, 10
-//! ```
 
-mod probe;
 mod queue;
 mod replicate;
-mod sim;
 mod time;
 
-pub use probe::{EventCounter, KernelProbe, NoopKernelProbe};
 pub use queue::EventQueue;
 pub use replicate::{replication_seed, Replicator};
-pub use sim::{Event, SimState, Simulation};
 pub use time::SimTime;

@@ -51,15 +51,10 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::starting_at(SimTime::ZERO)
-    }
-
-    /// An empty queue with the clock at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
-            now: start,
+            now: SimTime::ZERO,
         }
     }
 
@@ -96,11 +91,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `event` after a relative delay from `now`.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        self.schedule(self.now + delay.max(0.0), event);
-    }
-
     /// The execution time of the next event, if any, without popping.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.time)
@@ -122,11 +112,6 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
-    }
-
-    /// Drops every pending event, keeping the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -210,13 +195,6 @@ mod tests {
         assert_eq!(q.pop_until(SimTime::new(2.0)), Some((SimTime::new(2.0), 2)));
         assert_eq!(q.pop_until(SimTime::new(2.0)), None);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::starting_at(SimTime::new(100.0));
-        q.schedule_in(5.0, "x");
-        assert_eq!(q.peek_time(), Some(SimTime::new(105.0)));
     }
 
     #[test]

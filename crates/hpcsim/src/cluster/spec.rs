@@ -1,6 +1,6 @@
 //! Cluster shape: named partitions with sizes and relative speed factors.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One partition of the cluster: a named pool of identical processors with
 /// a relative speed factor.
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// runtime is `r` seconds executes in `r / speed` wall-clock seconds on
 /// this partition (and its user estimate scales the same way — users
 /// request wall-clock allocations on the machine they submit to).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PartitionSpec {
     /// Human-readable partition name (e.g. `"batch"`, `"express"`).
     pub name: String,
@@ -22,23 +22,40 @@ pub struct PartitionSpec {
 impl PartitionSpec {
     /// A named partition with the given size and speed.
     pub fn new(name: impl Into<String>, procs: u32, speed: f64) -> Self {
-        assert!(procs > 0, "partition must have at least one processor");
-        assert!(
-            speed.is_finite() && speed > 0.0,
-            "speed factor must be positive and finite"
-        );
-        Self {
-            name: name.into(),
-            procs,
-            speed,
+        Self::checked(name.into(), procs, speed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The partition, or what makes it impossible.
+    fn checked(name: String, procs: u32, speed: f64) -> Result<Self, String> {
+        if procs == 0 {
+            return Err("partition `procs` must be at least one processor, got 0".into());
         }
+        if !(speed.is_finite() && speed > 0.0) {
+            return Err(format!(
+                "partition `speed` factor must be positive and finite, got {speed}"
+            ));
+        }
+        Ok(Self { name, procs, speed })
+    }
+}
+
+/// Spec files must meet [`PartitionSpec::new`]'s checks: a zero-processor
+/// or zero-speed partition would otherwise drop or mis-time every job.
+impl Deserialize for PartitionSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Self::checked(
+            serde::field(v, "name")?,
+            serde::field(v, "procs")?,
+            serde::field(v, "speed")?,
+        )
+        .map_err(serde::Error::msg)
     }
 }
 
 /// The shape of a (possibly heterogeneous) cluster: an ordered list of
 /// partitions. The single-partition, speed-1.0 spec is the degenerate case
 /// that reproduces the homogeneous engine bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     parts: Vec<PartitionSpec>,
 }
@@ -46,8 +63,15 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// A cluster from an explicit partition list.
     pub fn new(parts: Vec<PartitionSpec>) -> Self {
-        assert!(!parts.is_empty(), "cluster needs at least one partition");
-        Self { parts }
+        Self::checked(parts).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The cluster, or why it is impossible.
+    fn checked(parts: Vec<PartitionSpec>) -> Result<Self, &'static str> {
+        if parts.is_empty() {
+            return Err("cluster `parts` must list at least one partition");
+        }
+        Ok(Self { parts })
     }
 
     /// The degenerate homogeneous spec: one partition, speed 1.0. A
@@ -96,6 +120,14 @@ impl ClusterSpec {
     /// reference speed).
     pub fn is_degenerate(&self) -> bool {
         self.parts.len() == 1 && self.parts[0].speed == 1.0
+    }
+}
+
+/// Spec files must meet [`ClusterSpec::new`]'s check: an empty machine
+/// would otherwise run a scenario that schedules no job.
+impl Deserialize for ClusterSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Self::checked(serde::field(v, "parts")?).map_err(serde::Error::msg)
     }
 }
 

@@ -218,7 +218,7 @@ impl ProfileStats {
     }
 }
 
-/// Passive counters of the conservative [`crate::plan::Planner`]:
+/// Passive counters of the conservative planner (`plan::Planner`):
 /// suffix-repair passes broken down by dominant [`RepairCause`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanStats {

@@ -1,7 +1,7 @@
 //! Decision forensics: a typed, per-job audit log of every scheduling
 //! decision, with wait-cause attribution.
 //!
-//! [`AuditProbe`] implements [`Probe`](super::Probe) and collects
+//! [`AuditProbe`] implements [`Probe`] and collects
 //! [`AuditRecord`]s through the lifecycle hooks the engine fires at each
 //! decision: submission (with the router's candidate estimates), backfill
 //! skips (with the reason a scan passed a job over), conservative plan

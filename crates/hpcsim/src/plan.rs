@@ -8,7 +8,7 @@
 //! — quadratic work per pass at real queue depths, multiplied again by the
 //! decision-point re-routing pass.
 //!
-//! [`Planner`] instead keeps **long-lived profiles per partition**, updated
+//! `Planner` instead keeps **long-lived profiles per partition**, updated
 //! in O(edge-op) as the simulation evolves:
 //!
 //! * `actual` — ground-truth release profiles (actual runtimes), consulted
@@ -40,7 +40,7 @@
 //!
 //! The invalidation rules are *exact*, not heuristic: repaired plans are
 //! bitwise identical to a from-scratch replan, which
-//! [`Planner::conservative_starts`] re-checks against
+//! `Planner::conservative_starts` re-checks against
 //! [`from_scratch_conservative_starts`] under `cfg(debug_assertions)` (the
 //! debug oracle — every debug-mode test run of every scenario doubles as a
 //! differential test of this module), and

@@ -619,11 +619,6 @@ impl<P: Probe> ProbedSimulation<P> {
         &self.completed
     }
 
-    /// The active re-routing policy.
-    pub fn reroute_policy(&self) -> ReroutePolicy {
-        self.reroute
-    }
-
     /// Trace jobs set aside as unroutable (wider than every partition) —
     /// the jobs a [`crate::metrics::Metrics`] over [`Self::completed`]
     /// does **not** describe. Always empty on a flat machine.

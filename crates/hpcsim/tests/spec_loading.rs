@@ -92,3 +92,41 @@ fn valid_specs_still_load() {
     assert_eq!(ScenarioSpec::load(&path).unwrap(), spec);
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn impossible_machines_are_a_parse_error() {
+    // `ClusterSpec::new` and `PartitionSpec::new` reject these shapes; a
+    // spec file must not slip past them. Each would otherwise run and drop
+    // or mis-time every job.
+    let spec = ScenarioSpec::builder(swf::TraceSource::Preset {
+        preset: swf::TracePreset::Lublin1,
+        jobs: 50,
+        seed: 1,
+    })
+    .cluster(
+        ClusterSpec::new(vec![PartitionSpec::new("main", 256, 1.0)]),
+        RouterSpec::LeastLoaded,
+    )
+    .build();
+    let json = spec.to_json_pretty();
+    let key = "\"parts\": [";
+    let open = json.find(key).expect("spec names its partitions") + key.len();
+    let close = open + json[open..].find(']').unwrap();
+    let no_parts = format!("{}{}", &json[..open], &json[close..]);
+    let cases = [
+        ("parts", no_parts),
+        ("procs", json.replace("\"procs\": 256", "\"procs\": 0")),
+        ("speed", json.replace("\"speed\": 1.0", "\"speed\": 0.0")),
+        ("speed", json.replace("\"speed\": 1.0", "\"speed\": -1.0")),
+    ];
+    let path = std::env::temp_dir().join("hpcsim_impossible_machine_spec.json");
+    for (field, bad) in cases {
+        assert_ne!(bad, json, "the `{field}` edit must change the fixture");
+        std::fs::write(&path, bad).unwrap();
+        let msg = ScenarioSpec::load(&path).unwrap_err().to_string();
+        assert!(msg.contains("cannot parse"), "{msg}");
+        assert!(msg.contains("hpcsim_impossible_machine_spec.json"), "{msg}");
+        assert!(msg.contains(&format!("`{field}`")), "{msg}");
+    }
+    std::fs::remove_file(&path).ok();
+}

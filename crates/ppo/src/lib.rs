@@ -2,7 +2,8 @@
 //!
 //! The paper trains RLBackfilling "using the Proximal Policy Optimization
 //! (PPO) algorithm from OpenAI Spinning Up using PyTorch" (§4.1.1). This
-//! crate is that algorithm, written against the [`tinynn`] substrate:
+//! crate is that algorithm; it does not depend on `tinynn`, whose networks
+//! reach it through the [`ActorCritic`] trait:
 //!
 //! * [`gae`] — discounted returns and GAE(γ, λ) advantage estimation;
 //! * [`buffer`] — trajectory storage ([`RolloutBuffer`]) producing

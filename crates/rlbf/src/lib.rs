@@ -7,9 +7,9 @@
 //!   time, `MAX_OBSV_SIZE` slots, availability appended per job, reserved
 //!   job masked.
 //! * [`nets`] — the kernel policy network and MLP value network (§3.3).
-//! * [`env`] — the decision-point environment with the sparse terminal
+//! * [`env`](mod@env) — the decision-point environment with the sparse terminal
 //!   reward and violation penalty (§3.4).
-//! * [`train`] — the PPO training loop (§4.1.1: 100 trajectories × 256
+//! * [`train`](mod@train) — the PPO training loop (§4.1.1: 100 trajectories × 256
 //!   jobs per epoch, 80 update iterations, lr 1e-3), with rayon-parallel
 //!   trajectory collection, and gradients summed over fixed
 //!   [`ppo::GRAD_CHUNK`]-sample chunks in chunk order, so the trained agent

@@ -105,7 +105,7 @@ impl BackfillActorCritic {
 
     /// The masked action distribution at `obs` (job slots + skip).
     pub fn distribution(&self, obs: &Observation) -> MaskedCategorical {
-        MaskedCategorical::new(&self.logits(obs), obs.action_mask())
+        MaskedCategorical::new(&self.logits(obs), &obs.mask)
     }
 
     /// Samples an action (training-time exploration). Returns
@@ -190,7 +190,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
         let cache = self.policy.forward_cached(&obs.features);
-        self.policy_backward(&cache, obs.action_mask(), action, coef);
+        self.policy_backward(&cache, &obs.mask, action, coef);
     }
 
     fn accumulate_value_grad(&mut self, obs: &Observation, coef: f64) {
@@ -204,7 +204,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
         coef: impl FnOnce(f64) -> f64,
     ) -> f64 {
         let cache = self.policy.forward_cached(&obs.features);
-        let mask = obs.action_mask();
+        let mask = &obs.mask;
         let log_prob = MaskedCategorical::new(cache.output().data(), mask).log_prob(action);
         self.policy_backward(&cache, mask, action, coef(log_prob));
         log_prob

@@ -82,11 +82,6 @@ impl Observation {
     pub fn has_valid_action(&self) -> bool {
         self.mask[..self.skip_action()].iter().any(|&m| m)
     }
-
-    /// The full action mask (alias kept for symmetry with older code).
-    pub fn action_mask(&self) -> &[bool] {
-        &self.mask
-    }
 }
 
 /// The reserved job's estimated reservation, precomputed once per decision

@@ -47,7 +47,6 @@ pub const HOT_SET_REL: &str = "results/hot_set.json";
 /// prefix glob.
 pub const SEEDS: &[&str] = &[
     "advance",
-    "step_with",
     "apply_due_events",
     "earliest_fit",
     "easy_pass",

@@ -1,7 +1,7 @@
-//! The rule set. Each rule takes an analyzed [`SourceFile`] and returns
-//! raw findings (or, for the ratcheted rules, [`RatchetHit`]s); the
-//! engine in [`crate::lib`] applies allow directives and the inventory
-//! ratchets on top.
+//! The rule set. Each rule takes an analyzed [`crate::source::SourceFile`]
+//! and returns raw findings (or, for the ratcheted rules, [`RatchetHit`]s);
+//! the engine at the [crate root](crate) applies allow directives and
+//! the inventory ratchets on top.
 //!
 //! Which files a rule sees is decided by path in [`crate::check_source`]
 //! (and documented per rule) — rules themselves only look at tokens.

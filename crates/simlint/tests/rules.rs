@@ -416,7 +416,6 @@ const PR8_HAND_REGISTRY: &[&str] = &[
     "apply_due_events",
     "start_ready_jobs",
     "start_job",
-    "step_with",
     "schedule",
     "pop",
     "pop_until",

@@ -45,7 +45,8 @@ impl SwfRecord {
     /// falls back to the actual runtime.
     ///
     /// Returns `None` for records that cannot be simulated (no processor
-    /// count at all, or a cancelled job that never ran and has no runtime).
+    /// count at all, one too wide for `u32`, or a cancelled job that never
+    /// ran and has no runtime).
     pub fn to_job(&self) -> Option<Job> {
         let procs = if self.requested_procs > 0 {
             self.requested_procs
@@ -54,6 +55,7 @@ impl SwfRecord {
         } else {
             return None;
         };
+        let procs = u32::try_from(procs).ok()?;
         let runtime = if self.run_time > 0.0 {
             self.run_time
         } else if self.requested_time > 0.0 {
@@ -73,7 +75,7 @@ impl SwfRecord {
         Some(Job::new(
             self.job_number.max(0) as usize,
             self.submit_time.max(0.0),
-            procs as u32,
+            procs,
             request_time,
             runtime,
         ))
@@ -153,13 +155,20 @@ fn parse_field(tok: &str, line: usize, what: &str) -> Result<f64, SwfError> {
     Ok(v)
 }
 
+/// A positive `key: value` header count. Zero counts as absent, so a
+/// `MaxProcs: 0` header falls back like a missing one instead of sizing
+/// an empty cluster.
 fn header_value(line: &str, key: &str) -> Option<u32> {
     let rest = line
         .trim()
         .strip_prefix(key)?
         .trim_start_matches(':')
         .trim();
-    rest.split_whitespace().next()?.parse().ok()
+    rest.split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
 }
 
 /// Parses an SWF stream.
@@ -286,6 +295,23 @@ mod tests {
         let t = f.into_trace("sample");
         assert_eq!(t.cluster_procs(), 128);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn zero_header_counts_fall_back_to_the_widest_job() {
+        let zeros = SAMPLE
+            .replace("MaxProcs: 128", "MaxProcs: 0")
+            .replace("MaxNodes: 64", "MaxNodes: 0");
+        let f = parse_swf(Cursor::new(zeros)).unwrap();
+        assert_eq!((f.max_procs, f.max_nodes), (None, None));
+        assert_eq!(f.into_trace("zeros").cluster_procs(), 8);
+    }
+
+    #[test]
+    fn processor_counts_beyond_u32_drop_the_record() {
+        let wide = "1 0 5 100 4294967297 -1 -1 4294967297 300 -1 1 7 1 -1 1 -1 -1 -1\n";
+        let f = parse_swf(Cursor::new(wide)).unwrap();
+        assert!(f.records[0].to_job().is_none());
     }
 
     #[test]
