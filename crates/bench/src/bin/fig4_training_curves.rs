@@ -19,11 +19,14 @@
 //! paper's convergence-from-random shape (budget for more epochs there —
 //! the paper itself runs hundreds).
 //!
-//! Warm-started agents are checkpointed under `results/agents/` with the
-//! same key Table 4/5 use, so subsequent experiments skip retraining;
-//! from-scratch runs do not touch the shared cache.
+//! The four presets train in parallel through `desim::Replicator`, one
+//! agent per thread. Warm-started agents are checkpointed under
+//! `results/agents/` with the same key Table 4/5 use, so subsequent
+//! experiments skip retraining; from-scratch runs do not touch the shared
+//! cache.
 
 use bench::{agent_checkpoint_path, preset_source, print_table, write_json, Scale};
+use desim::Replicator;
 use hpcsim::prelude::*;
 use rlbf::{agent_slot, train_from_spec, RlbfAgent};
 use serde::Serialize;
@@ -43,9 +46,8 @@ struct Curve {
 fn main() {
     let scale = Scale::from_env();
     let from_scratch = std::env::args().any(|a| a == "--from-scratch");
-    let mut curves: Vec<Curve> = Vec::new();
-
-    for preset in TracePreset::ALL {
+    let curves: Vec<Curve> = Replicator::new(0).run(TracePreset::ALL.len(), |i, _| {
+        let preset = TracePreset::ALL[i];
         let mut cfg = scale.train_config(Policy::Fcfs);
         if from_scratch {
             cfg.pretrain_episodes = 0;
@@ -63,7 +65,7 @@ fn main() {
         );
         let t0 = std::time::Instant::now();
         let result = train_from_spec(&spec).expect("agent spec trains");
-        eprintln!("  {:.1}s", t0.elapsed().as_secs_f64());
+        eprintln!("  {}: {:.1}s", preset.name(), t0.elapsed().as_secs_f64());
 
         if !from_scratch {
             // Cache the warm-started agent for Table 4/5 under the shared
@@ -74,15 +76,15 @@ fn main() {
                 .expect("can save checkpoint");
         }
 
-        curves.push(Curve {
+        Curve {
             trace: preset.name().into(),
             spec,
             epochs: result.history.iter().map(|e| e.epoch).collect(),
             bsld: result.history.iter().map(|e| e.mean_bsld).collect(),
             episode_return: result.history.iter().map(|e| e.mean_return).collect(),
             violations: result.history.iter().map(|e| e.violations).collect(),
-        });
-    }
+        }
+    });
 
     // Print the four curves side by side (bsld per epoch).
     let n_epochs = curves.iter().map(|c| c.epochs.len()).max().unwrap_or(0);

@@ -17,11 +17,11 @@
 //! ```
 
 use bench::{
-    agent_checkpoint_path, eval_builder, fmt_bsld, na, print_table, train_or_load_agent,
+    agent_checkpoint_path, eval_builder, fmt_bsld, na, print_table, train_or_load_agents,
     write_reports, Scale,
 };
 use hpcsim::prelude::*;
-use rlbf::{agent_slot, run_spec_with_agent};
+use rlbf::{agent_slot, run_spec_with_agent, RlbfAgent};
 use swf::TracePreset;
 
 const EVAL_SEED: u64 = 0xe7a1;
@@ -31,7 +31,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut reports: Vec<RunReport> = Vec::new();
 
-    for preset in TracePreset::ALL {
+    // Train (or load) all 8 agents up front: FCFS and SJF per trace.
+    let pairs: Vec<(TracePreset, Policy)> = TracePreset::ALL
+        .iter()
+        .flat_map(|&p| [(p, Policy::Fcfs), (p, Policy::Sjf)])
+        .collect();
+    let agents = train_or_load_agents(&pairs, &scale);
+
+    for (preset, agents) in TracePreset::ALL.into_iter().zip(agents.chunks(2)) {
         let has_estimates = preset.targets().has_user_estimates;
         eprintln!("== {} ==", preset.name());
 
@@ -46,8 +53,7 @@ fn main() {
         // One RLBF cell = the same spec with the agent in the scheduler
         // slot, deployed from the shared checkpoint cache; the slot names
         // that checkpoint so the embedded spec regenerates this exact run.
-        let rl = |policy: Policy| {
-            let agent = train_or_load_agent(preset, policy, &scale);
+        let rl = |policy: Policy, agent: &RlbfAgent| {
             let checkpoint = agent_checkpoint_path(preset, policy, &scale)
                 .to_string_lossy()
                 .into_owned();
@@ -55,7 +61,7 @@ fn main() {
                 .policy(policy)
                 .agent(agent_slot(&agent.env, None, Some(checkpoint)))
                 .build();
-            run_spec_with_agent(&spec, &agent).expect("agent spec runs")
+            run_spec_with_agent(&spec, agent).expect("agent spec runs")
         };
         let easy = Backfill::Easy(RuntimeEstimator::RequestTime);
         let easy_ar = Backfill::Easy(RuntimeEstimator::ActualRuntime);
@@ -72,8 +78,8 @@ fn main() {
         } else {
             (None, None)
         };
-        let fcfs_rlbf = rl(Policy::Fcfs);
-        let sjf_rlbf = rl(Policy::Sjf);
+        let fcfs_rlbf = rl(Policy::Fcfs, &agents[0]);
+        let sjf_rlbf = rl(Policy::Sjf, &agents[1]);
 
         let bsld = |r: &RunReport| r.metrics.mean_bounded_slowdown;
         rows.push(vec![

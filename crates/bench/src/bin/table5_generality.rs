@@ -13,7 +13,7 @@
 //! ```
 
 use bench::{
-    agent_checkpoint_path, eval_builder, fmt_bsld, na, print_table, train_or_load_agent,
+    agent_checkpoint_path, eval_builder, fmt_bsld, na, print_table, train_or_load_agents,
     write_reports, Scale,
 };
 use hpcsim::prelude::*;
@@ -26,9 +26,10 @@ fn main() {
     let scale = Scale::from_env();
 
     // Train (or load) one agent per trace, FCFS base — the paper's RL-X.
+    let pairs = TracePreset::ALL.map(|p| (p, Policy::Fcfs));
     let agents: Vec<(TracePreset, RlbfAgent)> = TracePreset::ALL
-        .iter()
-        .map(|&p| (p, train_or_load_agent(p, Policy::Fcfs, &scale)))
+        .into_iter()
+        .zip(train_or_load_agents(&pairs, &scale))
         .collect();
 
     let mut reports: Vec<RunReport> = Vec::new();

@@ -9,6 +9,7 @@
 //! Table 5 and the ablations reuse the same trained models), and result
 //! emission (pretty table to stdout + JSON under `results/`).
 
+use desim::Replicator;
 use hpcsim::prelude::*;
 use rlbf::prelude::*;
 use rlbf::ObsConfig;
@@ -95,7 +96,7 @@ pub fn write_json(name: &str, value: &impl Serialize) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Where [`train_or_load_agent`] caches the checkpoint for this
+/// Where [`train_or_load_agents`] caches the checkpoint for this
 /// (preset, policy, scale) cell — also the `checkpoint` a spec's agent
 /// slot should carry so the committed report names the exact deployed
 /// model.
@@ -133,27 +134,27 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Trains (or loads a cached) RLBackfilling agent for `preset` with the
-/// given base policy. Checkpoints are keyed by preset, policy and scale so
-/// Table 4, Table 5 and the ablations share models instead of retraining.
-pub fn train_or_load_agent(preset: TracePreset, base: Policy, scale: &Scale) -> RlbfAgent {
-    let path = agent_checkpoint_path(preset, base, scale);
-    let key = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    if path.exists() {
+/// Trains (or loads cached) RLBackfilling agents, one per distinct
+/// `(preset, base policy)` pair, returned in input order. Checkpoints are
+/// keyed by preset, policy and scale so Table 4, Table 5 and the
+/// ablations share models instead of retraining. The pairs run in
+/// parallel through one [`Replicator`], one agent per thread; each writes
+/// its own checkpoint path.
+pub fn train_or_load_agents(pairs: &[(TracePreset, Policy)], scale: &Scale) -> Vec<RlbfAgent> {
+    Replicator::new(0).run(pairs.len(), |i, _| {
+        let (preset, base) = pairs[i];
+        let path = agent_checkpoint_path(preset, base, scale);
+        let key = path.file_stem().unwrap_or_default().to_string_lossy();
         if let Ok(agent) = RlbfAgent::load(&path) {
             eprintln!("loaded cached agent {key}");
             return agent;
         }
-    }
-    eprintln!("training agent {key} …");
-    let trace = load_trace(preset, scale);
-    let result = train(&trace, scale.train_config(base));
-    let agent = RlbfAgent::from_training(&result, preset.name());
-    agent.save(&path).expect("can save agent checkpoint");
-    agent
+        eprintln!("training agent {key} …");
+        let result = train(&load_trace(preset, scale), scale.train_config(base));
+        let agent = RlbfAgent::from_training(&result, preset.name());
+        agent.save(&path).expect("can save agent checkpoint");
+        agent
+    })
 }
 
 /// Renders a row-major table with a header — on stderr, like every other

@@ -428,9 +428,19 @@ impl ScenarioSpec {
         serde_json::to_string_pretty(self).expect("spec serializes")
     }
 
-    /// Parses a spec from JSON.
+    /// Parses a spec from JSON. A `Windows` protocol with no windows
+    /// (`samples` or `window_len` of 0) is an error: it has no jobs to
+    /// average, so it would report an impossible bsld.
     pub fn from_json(json: &str) -> Result<Self, ScenarioError> {
-        serde_json::from_str(json).map_err(|e| ScenarioError::Spec(e.to_string()))
+        let spec: Self =
+            serde_json::from_str(json).map_err(|e| ScenarioError::Spec(e.to_string()))?;
+        let empty =
+            |field| ScenarioError::Spec(format!("Windows protocol `{field}` must be at least 1"));
+        match spec.protocol {
+            Protocol::Windows { samples: 0, .. } => Err(empty("samples")),
+            Protocol::Windows { window_len: 0, .. } => Err(empty("window_len")),
+            _ => Ok(spec),
+        }
     }
 
     /// Loads a spec from a JSON file. Both failure modes — an unreadable

@@ -130,3 +130,34 @@ fn impossible_machines_are_a_parse_error() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn windows_without_windows_are_a_parse_error() {
+    // Zero windows, or windows of zero jobs, have no job to average: a run
+    // would report an impossible bsld (0, or NaN from the agent side).
+    let json = ScenarioSpec::builder(swf::TraceSource::Preset {
+        preset: swf::TracePreset::Lublin1,
+        jobs: 50,
+        seed: 1,
+    })
+    .windows(5, 16, 7)
+    .build()
+    .to_json_pretty();
+    let cases = [
+        ("samples", json.replace("\"samples\": 5", "\"samples\": 0")),
+        (
+            "window_len",
+            json.replace("\"window_len\": 16", "\"window_len\": 0"),
+        ),
+    ];
+    let path = std::env::temp_dir().join("hpcsim_empty_windows_spec.json");
+    for (field, bad) in cases {
+        assert_ne!(bad, json, "the `{field}` edit must change the fixture");
+        std::fs::write(&path, bad).unwrap();
+        let msg = ScenarioSpec::load(&path).unwrap_err().to_string();
+        assert!(msg.contains("cannot parse"), "{msg}");
+        assert!(msg.contains("hpcsim_empty_windows_spec.json"), "{msg}");
+        assert!(msg.contains(&format!("`{field}`")), "{msg}");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -13,11 +13,9 @@
 //! Every gradient step — the π and V iterations here and `rlbf`'s
 //! imitation passes — sums its per-sample gradients through
 //! [`accumulate_chunked`]: fixed chunks of [`GRAD_CHUNK`] samples merged in
-//! chunk order, so the result depends on the batch alone, never on the
-//! thread count.
+//! chunk order, so the float summation order depends on the batch alone.
 
 use crate::buffer::Batch;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// PPO hyper-parameters. Defaults follow the paper §4.1.1 (80 update
@@ -109,7 +107,7 @@ pub fn approx_kl(logp_old: &[f64], logp_new: &[f64]) -> f64 {
 /// value network; the tests use a tabular implementation. Gradients are
 /// *accumulated* by the `accumulate_*` calls and consumed by the
 /// `*_opt_step` calls (which must also clear them). [`accumulate_chunked`]
-/// accumulates on clones and sums them back with [`Self::merge_grads_from`].
+/// accumulates on a clone and sums it back with [`Self::merge_grads_from`].
 pub trait ActorCritic<O> {
     /// Log-probability of `action` at `obs` under the current policy.
     fn log_prob(&self, obs: &O, action: usize) -> f64;
@@ -154,68 +152,31 @@ pub trait ActorCritic<O> {
 /// Samples per chunk of [`accumulate_chunked`]. It fixes the float
 /// summation order of every gradient step, so it is a constant rather than
 /// an option: changing it changes training results.
-///
-/// A chunk is the unit of parallel work, so a step takes at least one
-/// chunk's time however many threads run it: smaller chunks spread short
-/// batches over more threads, but each chunk costs a merge and each wave
-/// a thread spawn. At 128, a 566-sample PPO batch is 5 chunks, so 4
-/// threads finish each step within 186 samples of work (256 would take
-/// 256, an even split 142), and 1 and 2 threads run `rlbf::train` as fast
-/// as at 256.
 pub const GRAD_CHUNK: usize = 128;
 
 /// Runs `f(worker, i)` for every sample index `i < n`, adds the gradients
-/// `f` accumulates on the workers to `ac`, and returns `f`'s outputs in
+/// `f` accumulates on the worker to `ac`, and returns `f`'s outputs in
 /// index order.
 ///
 /// The indices run in contiguous chunks of [`GRAD_CHUNK`]. Each chunk
-/// accumulates on a clone of `ac` that starts from zero gradients, and the
-/// clones' gradients are added to `ac` in chunk order, so the sums depend
-/// on `n` alone, never on the thread count. From zero gradients on `ac`, a
-/// run of at most [`GRAD_CHUNK`] samples sums exactly like a plain loop
-/// over `ac`. At most `min(current_num_threads(), chunks)` clones are
-/// alive: the chunks run in waves of that width, and each clone is cleared
-/// after its merge and reused by the next wave.
-pub fn accumulate_chunked<O, AC, R, F>(ac: &mut AC, n: usize, f: F) -> Vec<R>
+/// accumulates on one clone of `ac` that starts from zero gradients, and
+/// the clone's gradients are added to `ac` after every chunk, in chunk
+/// order. From zero gradients on `ac`, a run of at most [`GRAD_CHUNK`]
+/// samples sums exactly like a plain loop over `ac`.
+pub fn accumulate_chunked<O, AC, R, F>(ac: &mut AC, n: usize, mut f: F) -> Vec<R>
 where
-    AC: ActorCritic<O> + Clone + Send,
-    R: Send,
-    F: Fn(&mut AC, usize) -> R + Sync,
+    AC: ActorCritic<O> + Clone,
+    F: FnMut(&mut AC, usize) -> R,
 {
-    accumulate_in_waves(ac, n, rayon::current_num_threads(), f)
-}
-
-/// [`accumulate_chunked`] with `width` worker clones.
-fn accumulate_in_waves<O, AC, R, F>(ac: &mut AC, n: usize, width: usize, f: F) -> Vec<R>
-where
-    AC: ActorCritic<O> + Clone + Send,
-    R: Send,
-    F: Fn(&mut AC, usize) -> R + Sync,
-{
-    let starts: Vec<usize> = (0..n).step_by(GRAD_CHUNK).collect();
     // Cloned before any merge, then cleared: a worker holding `ac`'s own
     // gradients would count them twice.
     let mut worker = ac.clone();
     worker.zero_grads();
-    let mut workers = vec![worker; width.clamp(1, starts.len().max(1))];
     let mut out = Vec::with_capacity(n);
-    for wave in starts.chunks(workers.len()) {
-        let outputs: Vec<Vec<R>> = workers
-            .iter_mut()
-            .zip(wave)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(w, &start)| {
-                (start..n.min(start + GRAD_CHUNK))
-                    .map(|i| f(w, i))
-                    .collect()
-            })
-            .collect();
-        for (w, chunk_out) in workers.iter_mut().zip(outputs) {
-            ac.merge_grads_from(w);
-            w.zero_grads();
-            out.extend(chunk_out);
-        }
+    for start in (0..n).step_by(GRAD_CHUNK) {
+        out.extend((start..n.min(start + GRAD_CHUNK)).map(|i| f(&mut worker, i)));
+        ac.merge_grads_from(&worker);
+        worker.zero_grads();
     }
     out
 }
@@ -225,8 +186,7 @@ where
 /// [`accumulate_chunked`].
 pub fn ppo_update<O, AC>(ac: &mut AC, batch: &Batch<O>, cfg: &PpoConfig) -> UpdateStats
 where
-    O: Sync,
-    AC: ActorCritic<O> + Clone + Send,
+    AC: ActorCritic<O> + Clone,
 {
     assert!(!batch.is_empty(), "cannot update on an empty batch");
     let n = batch.len() as f64;
@@ -495,26 +455,21 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reduction_is_independent_of_the_worker_count() {
+    fn chunked_reduction_keeps_existing_grads_and_index_order() {
         let xs = mixed_xs(4 * GRAD_CHUNK + 3);
-        let run = |width: usize| {
-            // A gradient already on `ac` is kept and counted once.
-            let mut ac = Summer {
-                grad: 0.5,
-                ..Summer::default()
-            };
-            let out = accumulate_in_waves(&mut ac, xs.len(), width, |w, i| {
-                w.accumulate_policy_grad(&xs[i], 0, 1.0);
-                i
-            });
-            assert_eq!(out, (0..xs.len()).collect::<Vec<_>>(), "width {width}");
-            assert_eq!(ac.value_grad, 0.0);
-            ac.grad.to_bits()
+        // A gradient already on `ac` is kept and counted once.
+        let mut ac = Summer {
+            grad: 0.5,
+            ..Summer::default()
         };
+        let out = accumulate_chunked(&mut ac, xs.len(), |w, i| {
+            w.accumulate_policy_grad(&xs[i], 0, 1.0);
+            i
+        });
+        assert_eq!(out, (0..xs.len()).collect::<Vec<_>>());
+        assert_eq!(ac.value_grad, 0.0);
         let (chunked, _) = chunked_and_plain_sums(&xs);
-        for width in 1..=6 {
-            assert_eq!(run(width), (0.5 + chunked).to_bits(), "width {width}");
-        }
+        assert_eq!(ac.grad.to_bits(), (0.5 + chunked).to_bits());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use crate::env::{BackfillEnv, EnvConfig};
 use crate::nets::BackfillActorCritic;
 use crate::train::TrainResult;
+use desim::Replicator;
 use hpcsim::{AuditRecord, Metrics, Platform, Policy};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use swf::Trace;
 
@@ -99,7 +99,7 @@ impl RlbfAgent {
 
     /// The paper's evaluation protocol (§4.3): sample `samples` random
     /// windows of `window_len` jobs, schedule each, report the mean bounded
-    /// slowdown. Samples run in parallel; the seed makes the windows
+    /// slowdown. Windows run in parallel; the seed makes the windows
     /// reproducible so competing schedulers see identical sequences.
     pub fn evaluate(
         &self,
@@ -110,10 +110,11 @@ impl RlbfAgent {
         seed: u64,
     ) -> f64 {
         let windows = sample_windows(trace, samples, window_len, seed);
-        let total: f64 = windows
-            .par_iter()
-            .map(|w| self.schedule(w, base_policy).mean_bounded_slowdown)
-            .sum();
+        let total: f64 = map_windows(&windows, |w| {
+            self.schedule(w, base_policy).mean_bounded_slowdown
+        })
+        .into_iter()
+        .sum();
         total / samples as f64
     }
 
@@ -150,15 +151,20 @@ pub fn evaluate_heuristic(
     seed: u64,
 ) -> f64 {
     let windows = sample_windows(trace, samples, window_len, seed);
-    let total: f64 = windows
-        .par_iter()
-        .map(|w| {
-            hpcsim::run_scheduler(w, base_policy, backfill)
-                .metrics
-                .mean_bounded_slowdown
-        })
-        .sum();
+    let total: f64 = map_windows(&windows, |w| {
+        hpcsim::run_scheduler(w, base_policy, backfill)
+            .metrics
+            .mean_bounded_slowdown
+    })
+    .into_iter()
+    .sum();
     total / samples as f64
+}
+
+/// `f` of every window, run in parallel through [`Replicator`] (which
+/// hands out seeds `f` does not need) and returned in window order.
+pub(crate) fn map_windows<T: Send>(windows: &[Trace], f: impl Fn(&Trace) -> T + Sync) -> Vec<T> {
+    Replicator::new(0).run(windows.len(), |i, _| f(&windows[i]))
 }
 
 #[cfg(test)]
@@ -230,6 +236,35 @@ mod tests {
             99,
         );
         assert!(heur.is_finite() && heur >= 1.0);
+
+        // Both means equal the scenario runs of the matching flat windows
+        // spec bit for bit: the windows, their order and the float sum are
+        // the same on every path.
+        let builder = || {
+            hpcsim::scenario::ScenarioSpec::builder(swf::TraceSource::Preset {
+                preset: TracePreset::Lublin2,
+                jobs: 800,
+                seed: 52,
+            })
+            .policy(Policy::Fcfs)
+            .windows(3, 128, 99)
+        };
+        let heur_spec = builder()
+            .backfill(Backfill::Easy(RuntimeEstimator::RequestTime))
+            .build();
+        let heur_run = hpcsim::scenario::run(&heur_spec).unwrap();
+        assert_eq!(
+            heur.to_bits(),
+            heur_run.metrics.mean_bounded_slowdown.to_bits()
+        );
+        let agent_spec = builder()
+            .agent(crate::agent_slot(&agent.env, None, None))
+            .build();
+        let agent_run = crate::run_spec_with_agent(&agent_spec, &agent).unwrap();
+        assert_eq!(
+            a.to_bits(),
+            agent_run.metrics.mean_bounded_slowdown.to_bits()
+        );
     }
 
     #[test]

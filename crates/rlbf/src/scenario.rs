@@ -22,13 +22,12 @@
 //!   the evaluation sweeps that have been Replicator-parallel since the
 //!   cluster PR.
 
-use crate::agent::RlbfAgent;
+use crate::agent::{map_windows, RlbfAgent};
 use crate::env::EnvConfig;
 use crate::train::{train, TrainConfig, TrainResult};
 use desim::Replicator;
 use hpcsim::scenario::{self, AgentSlot, Protocol, RunReport, ScenarioSpec, SchedulerSpec};
 use hpcsim::Metrics;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use swf::Trace;
 
@@ -133,10 +132,9 @@ pub fn run_spec_with_agent(spec: &ScenarioSpec, agent: &RlbfAgent) -> Result<Run
             seed,
         } => {
             let windows = scenario::sample_windows(&trace, samples, window_len, seed);
-            let per: Vec<(Metrics, usize)> = windows
-                .par_iter()
-                .map(|w| agent.schedule_on_counted(w, spec.policy, &spec.platform))
-                .collect();
+            let per: Vec<(Metrics, usize)> = map_windows(&windows, |w| {
+                agent.schedule_on_counted(w, spec.policy, &spec.platform)
+            });
             let dropped = per.iter().map(|(_, d)| d).sum();
             let metrics: Vec<Metrics> = per.into_iter().map(|(m, _)| m).collect();
             (scenario::mean_metrics(&metrics), dropped)
@@ -209,24 +207,21 @@ impl TrainSweep {
 }
 
 /// Runs [`train`] once per seed, fanned out across OS threads with
-/// [`desim::Replicator`] (trajectory collection inside each run stays
-/// rayon-parallel; the pool is shared), and merges the results. Training
-/// is thread-count independent, so the sweep is deterministic in
-/// `(trace, cfg, seeds)` regardless of how replications interleave.
+/// [`desim::Replicator`] (each run is serial, so one seed occupies one
+/// thread), and merges the results. Each run depends on its seed alone,
+/// so the sweep is deterministic in `(trace, cfg, seeds)` regardless of
+/// how replications interleave.
 pub fn train_sweep(
     trace: &Trace,
     cfg: &TrainConfig,
     seeds: &[u64],
     label: impl Into<String>,
 ) -> TrainSweep {
-    let results: Vec<TrainResult> = Replicator::new(cfg.seed)
-        .run(seeds.len(), |i, _| {
-            let mut c = cfg.clone();
-            c.seed = seeds[i];
-            train(trace, c)
-        })
-        .into_iter()
-        .collect();
+    let results: Vec<TrainResult> = Replicator::new(cfg.seed).run(seeds.len(), |i, _| {
+        let mut c = cfg.clone();
+        c.seed = seeds[i];
+        train(trace, c)
+    });
 
     let per_seed: Vec<SeedTrainStats> = results
         .iter()
@@ -429,7 +424,8 @@ mod tests {
         // the identical report.
         let again = train_sweep(&trace, &cfg, &seeds, "smoke sweep");
         assert_eq!(again.report, sweep.report);
-        // And per-seed results equal standalone training with that seed.
+        // And per-seed results equal standalone training with that seed,
+        // down to the network bytes.
         let mut solo_cfg = cfg.clone();
         solo_cfg.seed = seeds[1];
         let solo = train(&trace, solo_cfg);
@@ -437,6 +433,7 @@ mod tests {
             solo.history.last().unwrap().mean_bsld,
             sweep.report.per_seed[1].final_bsld
         );
+        assert_eq!(solo.ac.to_json(), sweep.results[1].ac.to_json());
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Per epoch: sample `traj_per_epoch` windows of `jobs_per_traj` consecutive
 //! jobs from the training trace, roll each out as one episode with the
-//! sampling policy (trajectory collection is embarrassingly parallel —
-//! workers share the read-only networks), merge into a GAE buffer, then run
-//! the PPO-clip update (80 policy + 80 value iterations by default, learning
-//! rate 1e-3, as in the paper). Every gradient step — the imitation passes
-//! and both PPO phases — sums its samples through
-//! [`ppo::accumulate_chunked`]: fixed chunks of [`ppo::GRAD_CHUNK`] samples,
-//! each on a worker clone, merged in chunk order. The trained agent thus
-//! depends on the seed alone, not on the host's thread count.
+//! sampling policy, merge into a GAE buffer, then run the PPO-clip update
+//! (80 policy + 80 value iterations by default, learning rate 1e-3, as in
+//! the paper). Every gradient step — the imitation passes and both PPO
+//! phases — sums its samples through [`ppo::accumulate_chunked`]: fixed
+//! chunks of [`ppo::GRAD_CHUNK`] samples merged in chunk order. One agent
+//! trains on one thread and depends on its seed alone; independent agents
+//! run in parallel through [`desim::Replicator`] (see
+//! [`crate::scenario::train_sweep`]).
 
 use crate::env::{BackfillEnv, EnvConfig};
 use crate::nets::{BackfillActorCritic, NetConfig};
@@ -20,7 +20,6 @@ use ppo::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use swf::Trace;
 
@@ -50,9 +49,9 @@ pub struct TrainConfig {
     pub platform: Platform,
     /// Network architecture.
     pub net: NetConfig,
-    /// Master seed: training is fully deterministic given the seed, and
-    /// independent of the thread count (per-trajectory RNG streams; gradient
-    /// sums over fixed [`ppo::GRAD_CHUNK`] chunks merged in chunk order).
+    /// Master seed: training is fully deterministic given the seed
+    /// (per-trajectory RNG streams; gradient sums over fixed
+    /// [`ppo::GRAD_CHUNK`] chunks merged in chunk order).
     pub seed: u64,
     /// Episodes of EASY demonstrations collected for the imitation
     /// warm-start (0 disables pretraining). The paper trains from scratch
@@ -242,7 +241,6 @@ pub fn pretrain_imitation(
 /// episodes, in episode order.
 fn demonstrations(trace: &Trace, cfg: &TrainConfig, episodes: usize) -> Vec<(Observation, usize)> {
     (0..episodes)
-        .into_par_iter()
         .flat_map(|e| {
             let mut rng = SmallRng::seed_from_u64(traj_seed(cfg.seed ^ 0xbc17, 0, e));
             let window = trace.sample_window(cfg.jobs_per_traj, &mut rng);
@@ -288,7 +286,6 @@ pub fn train(trace: &Trace, cfg: TrainConfig) -> TrainResult {
 
     for epoch in 0..cfg.epochs {
         let outcomes: Vec<TrajectoryOutcome> = (0..cfg.traj_per_epoch)
-            .into_par_iter()
             .map(|t| collect_trajectory(trace, &ac, &cfg, traj_seed(cfg.seed, epoch, t)))
             .collect();
 
@@ -366,8 +363,9 @@ mod tests {
 
     /// Pins the bytes of an agent trained through multi-chunk gradient
     /// steps: the demonstration set spans at least 2 [`ppo::GRAD_CHUNK`]
-    /// chunks and the PPO batch at least 3. The hash must be equal under
-    /// any thread count, e.g. under `taskset -c 0` and `taskset -c 0-2`.
+    /// chunks and the PPO batch at least 3. Training runs on one thread, so
+    /// the hash must be equal under any CPU mask, e.g. under `taskset -c 0`
+    /// and `taskset -c 0-2`.
     #[test]
     fn multi_chunk_training_bits_are_pinned() {
         let trace = TracePreset::Lublin2.generate(600, 41);
