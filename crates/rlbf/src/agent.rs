@@ -55,8 +55,8 @@ impl RlbfAgent {
         platform: &Platform,
     ) -> (Metrics, usize) {
         let mut env = BackfillEnv::on_platform(trace, base_policy, self.env, platform);
-        while let Some(obs) = env.observation().cloned() {
-            let slot = self.ac.act_greedy(&obs);
+        while let Some(obs) = env.observation() {
+            let slot = self.ac.act_greedy(obs);
             env.step(slot)
                 .expect("greedy actions are valid by construction");
         }
@@ -79,15 +79,15 @@ impl RlbfAgent {
     ) -> (Metrics, usize, Vec<AuditRecord>) {
         let mut env = BackfillEnv::on_platform(trace, base_policy, self.env, platform);
         let mut picks = Vec::new();
-        while let Some(obs) = env.observation().cloned() {
-            let slot = self.ac.act_greedy(&obs);
+        while let Some(obs) = env.observation() {
+            let (slot, score) = self.ac.act_greedy_scored(obs);
             if let Some(qidx) = obs.queue_index[slot] {
                 let sim = env.simulation();
                 picks.push(AuditRecord::AgentPicked {
                     t: sim.now(),
                     job: sim.queue()[qidx].id,
                     slot,
-                    score: self.ac.logits(&obs)[slot],
+                    score,
                 });
             }
             env.step(slot)

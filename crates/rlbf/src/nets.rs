@@ -4,7 +4,8 @@
 //!   each job vector independently, producing one score per slot; a masked
 //!   softmax over the scores gives the backfilling distribution. Because
 //!   the same kernel reads one job at a time, the parameter count is tiny
-//!   and the network is insensitive to job order.
+//!   and the network is insensitive to job order. It also means only the
+//!   rows the mask allows need scoring, and only those are evaluated.
 //! * **Value network** (§3.3.2): a 3-layer MLP over the *flattened*
 //!   observation ("the jobs are concat and flattened before being input"),
 //!   estimating the expected episode reward.
@@ -16,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use tinynn::{
     entropy_grad_wrt_logits, log_prob_grad_wrt_logits, Activation, Adam, AdamConfig,
-    MaskedCategorical, Matrix, Mlp, MlpCache,
+    MaskedCategorical, Matrix, Mlp,
 };
 
 /// Network architecture and optimizer configuration.
@@ -96,11 +97,16 @@ impl BackfillActorCritic {
         &self.cfg
     }
 
-    /// Action logits: the kernel applied to every row of the observation,
-    /// including the skip pseudo-job (last row).
+    /// Action logits, one per row of the observation including the skip
+    /// pseudo-job (last row). Only the rows `obs.mask` allows are scored;
+    /// every masked slot reads `f64::NEG_INFINITY`.
     pub fn logits(&self, obs: &Observation) -> Vec<f64> {
-        let out = self.policy.forward(&obs.features); // (slots+1) × 1
-        (0..out.rows()).map(|r| out.get(r, 0)).collect()
+        let (slots, logits) = self.valid_logits(obs);
+        let mut out = vec![f64::NEG_INFINITY; obs.mask.len()];
+        for (&s, l) in slots.iter().zip(logits) {
+            out[s] = l;
+        }
+        out
     }
 
     /// The masked action distribution at `obs` (job slots + skip).
@@ -111,14 +117,23 @@ impl BackfillActorCritic {
     /// Samples an action (training-time exploration). Returns
     /// `(slot, log_prob, value)`.
     pub fn act_sample<R: Rng + ?Sized>(&self, obs: &Observation, rng: &mut R) -> (usize, f64, f64) {
-        let dist = self.distribution(obs);
+        let (slots, logits) = self.valid_logits(obs);
+        let dist = over_valid(&logits);
         let a = dist.sample(rng);
-        (a, dist.log_prob(a), self.value_of(obs))
+        (slots[a], dist.log_prob(a), self.value_of(obs))
     }
 
     /// Greedy argmax action (evaluation-time, paper §3.3.1).
     pub fn act_greedy(&self, obs: &Observation) -> usize {
-        self.distribution(obs).argmax()
+        self.act_greedy_scored(obs).0
+    }
+
+    /// [`Self::act_greedy`] with the chosen slot's logit, from the same
+    /// forward pass.
+    pub(crate) fn act_greedy_scored(&self, obs: &Observation) -> (usize, f64) {
+        let (slots, logits) = self.valid_logits(obs);
+        let a = over_valid(&logits).argmax();
+        (slots[a], logits[a])
     }
 
     /// Critic estimate of the expected episode reward at `obs`.
@@ -143,20 +158,65 @@ impl BackfillActorCritic {
         self.policy_opt = Adam::new(AdamConfig::with_lr(lr));
     }
 
-    /// Backpropagates `coef · ∇ log π(action)`, plus the entropy bonus,
-    /// through a cached policy forward pass.
-    fn policy_backward(&mut self, cache: &MlpCache, mask: &[bool], action: usize, coef: f64) {
-        let logits = cache.output().data(); // (slots+1) × 1
-        let mut dlogits = log_prob_grad_wrt_logits(logits, mask, action, coef);
+    /// The policy kernel over the valid rows of `obs`: their slots, in
+    /// slot order, and their logits.
+    fn valid_logits(&self, obs: &Observation) -> (Vec<usize>, Vec<f64>) {
+        let (slots, rows) = valid_rows(obs);
+        (slots, self.policy.forward(&rows).data().to_vec())
+    }
+
+    /// `log π(action)`, after backpropagating `coef(log π(action)) ·
+    /// ∇ log π(action)`, plus the entropy bonus, through a forward pass
+    /// over the valid rows of `obs`.
+    fn policy_grad(
+        &mut self,
+        obs: &Observation,
+        action: usize,
+        coef: impl FnOnce(f64) -> f64,
+    ) -> f64 {
+        let (slots, rows) = valid_rows(obs);
+        let a = slots
+            .binary_search(&action)
+            .unwrap_or_else(|_| panic!("gradient of masked action {action}"));
+        let cache = self.policy.forward_cached(&rows);
+        let logits = cache.output().data(); // k × 1
+        let all = vec![true; logits.len()];
+        let log_prob = MaskedCategorical::new(logits, &all).log_prob(a);
+        let mut dlogits = log_prob_grad_wrt_logits(logits, &all, a, coef(log_prob));
         if self.cfg.entropy_coef != 0.0 {
-            let ent = entropy_grad_wrt_logits(logits, mask);
+            let ent = entropy_grad_wrt_logits(logits, &all);
             for (d, e) in dlogits.iter_mut().zip(ent) {
                 *d += self.cfg.entropy_coef * e;
             }
         }
         let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
-        self.policy.backward(cache, &grad);
+        self.policy.backward(&cache, &grad);
+        log_prob
     }
+}
+
+/// The rows of `obs` its mask allows: their slot indices, in slot order,
+/// and their features stacked into a `k × JOB_FEATURES` matrix.
+///
+/// The policy evaluates these rows only, and its results are bit-identical
+/// to a pass over every row. The kernel scores each row on its own, and
+/// the masked softmax reads valid logits only, in slot order. A masked
+/// row's logit gradient is exactly zero, and every product it would add
+/// to a parameter gradient is ±0, which cannot change a sum started at
+/// `+0.0`.
+fn valid_rows(obs: &Observation) -> (Vec<usize>, Matrix) {
+    let slots: Vec<usize> = (0..obs.mask.len()).filter(|&s| obs.mask[s]).collect();
+    let mut data = Vec::with_capacity(slots.len() * JOB_FEATURES);
+    for &s in &slots {
+        data.extend_from_slice(obs.features.row_slice(s));
+    }
+    let rows = Matrix::from_vec(slots.len(), JOB_FEATURES, data);
+    (slots, rows)
+}
+
+/// The softmax over the logits of the valid rows.
+fn over_valid(logits: &[f64]) -> MaskedCategorical {
+    MaskedCategorical::new(logits, &vec![true; logits.len()])
 }
 
 fn merge_mlp_grads(into: &mut Mlp, from: &Mlp) {
@@ -181,7 +241,11 @@ fn ascent_step(net: &mut Mlp, opt: &mut Adam) {
 
 impl ActorCritic<Observation> for BackfillActorCritic {
     fn log_prob(&self, obs: &Observation, action: usize) -> f64 {
-        self.distribution(obs).log_prob(action)
+        // A masked action has probability zero.
+        let (slots, logits) = self.valid_logits(obs);
+        slots
+            .binary_search(&action)
+            .map_or(f64::NEG_INFINITY, |a| over_valid(&logits).log_prob(a))
     }
 
     fn value(&self, obs: &Observation) -> f64 {
@@ -189,8 +253,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     }
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
-        let cache = self.policy.forward_cached(&obs.features);
-        self.policy_backward(&cache, &obs.mask, action, coef);
+        self.policy_grad(obs, action, |_| coef);
     }
 
     fn accumulate_value_grad(&mut self, obs: &Observation, coef: f64) {
@@ -203,11 +266,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
         action: usize,
         coef: impl FnOnce(f64) -> f64,
     ) -> f64 {
-        let cache = self.policy.forward_cached(&obs.features);
-        let mask = &obs.mask;
-        let log_prob = MaskedCategorical::new(cache.output().data(), mask).log_prob(action);
-        self.policy_backward(&cache, mask, action, coef(log_prob));
-        log_prob
+        self.policy_grad(obs, action, coef)
     }
 
     fn value_and_grad(&mut self, obs: &Observation, coef: impl FnOnce(f64) -> f64) -> f64 {
@@ -502,6 +561,150 @@ pub(crate) mod tests {
                 0x9665_6371_eb8a_55af,
                 "fused = {fused}"
             );
+        }
+    }
+
+    /// A random `slots`-slot observation: features in `[0, 1)` with exact
+    /// zeros, all-zero padding past a random fill, and the given mask.
+    fn random_obs(
+        slots: usize,
+        rng: &mut SmallRng,
+        mask: impl Fn(usize, &mut SmallRng) -> bool,
+    ) -> Observation {
+        let filled = rng.random_range(0..=slots);
+        let mut features = Matrix::zeros(slots + 1, JOB_FEATURES);
+        for s in (0..filled).chain([slots]) {
+            for c in 0..JOB_FEATURES {
+                if rng.random_range(0..4) != 0 {
+                    features.set(s, c, rng.random_range(0.0..1.0));
+                }
+            }
+        }
+        let mask = (0..=slots).map(|s| mask(s, rng)).collect();
+        let mut queue_index: Vec<Option<usize>> = (0..slots).map(Some).collect();
+        queue_index.push(None);
+        Observation {
+            features,
+            mask,
+            queue_index,
+        }
+    }
+
+    /// The masks the differential test covers at `slots` slots, keyed by
+    /// `case`: random with at least one valid row, exactly one valid job
+    /// row, skip as the only valid action, skip disallowed, every row
+    /// valid.
+    fn masked_obs(case: usize, slots: usize, rng: &mut SmallRng) -> Observation {
+        let one = rng.random_range(0..slots);
+        let mut obs = match case {
+            0 => random_obs(slots, rng, |_, r| r.random_range(0..3) == 0),
+            1 => random_obs(slots, rng, |s, _| s == one),
+            2 => random_obs(slots, rng, |s, _| s == slots),
+            3 => random_obs(slots, rng, |s, r| s < slots && r.random_range(0..2) == 0),
+            _ => random_obs(slots, rng, |_, _| true),
+        };
+        if !obs.mask.contains(&true) {
+            obs.mask[one] = true;
+        }
+        obs
+    }
+
+    /// The dense reference: the policy kernel over every row of `obs`, the
+    /// masked softmax and its gradient over all logits, and the backward
+    /// pass over every row. Returns `log π(action)`.
+    fn dense_policy_grad(
+        ac: &mut BackfillActorCritic,
+        obs: &Observation,
+        action: usize,
+        coef: f64,
+    ) -> f64 {
+        let cache = ac.policy.forward_cached(&obs.features);
+        let logits = cache.output().data();
+        let log_prob = MaskedCategorical::new(logits, &obs.mask).log_prob(action);
+        let mut dlogits = log_prob_grad_wrt_logits(logits, &obs.mask, action, coef);
+        if ac.cfg.entropy_coef != 0.0 {
+            let ent = entropy_grad_wrt_logits(logits, &obs.mask);
+            for (d, e) in dlogits.iter_mut().zip(ent) {
+                *d += ac.cfg.entropy_coef * e;
+            }
+        }
+        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
+        ac.policy.backward(&cache, &grad);
+        log_prob
+    }
+
+    fn policy_grad_bits(ac: &BackfillActorCritic) -> Vec<u64> {
+        ac.policy
+            .grads()
+            .iter()
+            .flat_map(|g| g.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Evaluating the valid rows only is bit-identical to the dense pass
+    /// over every row: log-probabilities, greedy and sampled actions, the
+    /// greedy score, and the policy gradients accumulated over several
+    /// observations (entropy bonus off, positive and negative).
+    #[test]
+    fn valid_row_policy_matches_dense_reference_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        for slots in 1..=128 {
+            let entropy_coef = [0.0, 0.01, -0.02][slots % 3];
+            let cfg = NetConfig {
+                obs: ObsConfig {
+                    max_obsv_size: slots,
+                },
+                value_hidden: vec![2],
+                entropy_coef,
+                ..NetConfig::default()
+            };
+            let mut ac = BackfillActorCritic::new(cfg, slots as u64);
+            let mut dense = ac.clone();
+            for case in 0..5 {
+                let obs = masked_obs(case, slots, &mut rng);
+                let dense_logits = ac.policy.forward(&obs.features).data().to_vec();
+                let reference = MaskedCategorical::new(&dense_logits, &obs.mask);
+                let dist = ac.distribution(&obs);
+                let logits = ac.logits(&obs);
+                for (i, (&l, &dense_l)) in logits.iter().zip(&dense_logits).enumerate() {
+                    let lp = reference.log_prob(i).to_bits();
+                    assert_eq!(dist.log_prob(i).to_bits(), lp);
+                    assert_eq!(ac.log_prob(&obs, i).to_bits(), lp);
+                    let expected = if obs.mask[i] {
+                        dense_l
+                    } else {
+                        f64::NEG_INFINITY
+                    };
+                    assert_eq!(l.to_bits(), expected.to_bits());
+                }
+                let greedy = reference.argmax();
+                assert_eq!(ac.act_greedy(&obs), greedy, "slots {slots} case {case}");
+                let (slot, score) = ac.act_greedy_scored(&obs);
+                assert_eq!(
+                    (slot, score.to_bits()),
+                    (greedy, dense_logits[greedy].to_bits())
+                );
+                let seed = rng.random();
+                let (a, logp, _) = ac.act_sample(&obs, &mut SmallRng::seed_from_u64(seed));
+                let a_ref = reference.sample(&mut SmallRng::seed_from_u64(seed));
+                assert_eq!(
+                    (a, logp.to_bits()),
+                    (a_ref, reference.log_prob(a_ref).to_bits())
+                );
+
+                let coef = rng.random_range(-1.0..1.0);
+                let action = if case % 2 == 0 { greedy } else { a_ref };
+                let logp = ac.log_prob_and_grad(&obs, action, |_| coef);
+                let logp_ref = dense_policy_grad(&mut dense, &obs, action, coef);
+                assert_eq!(logp.to_bits(), logp_ref.to_bits());
+                ac.accumulate_policy_grad(&obs, a_ref, -coef);
+                dense_policy_grad(&mut dense, &obs, a_ref, -coef);
+                assert_eq!(
+                    policy_grad_bits(&ac),
+                    policy_grad_bits(&dense),
+                    "slots {slots} case {case}"
+                );
+            }
         }
     }
 

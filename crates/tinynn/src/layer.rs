@@ -119,8 +119,8 @@ impl Linear {
     }
 
     /// `dL/dx = dL/dy · Wᵀ`. Transposing `W` first lets the product run
-    /// row-contiguous: over the policy kernel's 65 rows that is about twice
-    /// as fast as dot products in the same summation order.
+    /// row-contiguous: over a 65-row batch that is about twice as fast as
+    /// dot products in the same summation order.
     pub fn input_grad(&self, grad_out: &Matrix) -> Matrix {
         grad_out.matmul(&self.w.transpose())
     }

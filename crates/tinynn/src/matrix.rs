@@ -14,6 +14,12 @@
 //! counterparts: every output element is summed in the same order, from
 //! the same `+0.0` start, skipping the same exact zeros.
 //! `tests/proptest_nn.rs` checks this `to_bits()` for `to_bits()`.
+//!
+//! The same argument lets callers drop work that contributes only zeros.
+//! Adding `±0.0` to a sum that starts at `+0.0` cannot change it, so a
+//! batch row whose output gradient is exactly zero adds nothing to
+//! `aᵀ·b`: `rlbf`'s policy network never evaluates the rows its mask
+//! excludes, and its gradients keep their bits.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
@@ -161,7 +167,9 @@ impl Matrix {
     /// (skipping exact zeros of `a`) in a row-sized scratch, then added to
     /// row `i` of `self` once. A row with every `a[·][i]` zero is left
     /// alone: its product is `+0.0`, the identity on any accumulator that
-    /// is not `-0.0`, which a sum started at `+0.0` never is.
+    /// is not `-0.0`, which a sum started at `+0.0` never is. When `a` has
+    /// one row, each sum has one term and row `i` gets `0.0 + x·y`
+    /// directly, with no scratch pass.
     pub fn add_transposed_matmul_assign(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(
             (a.rows, self.rows, self.cols),
@@ -172,6 +180,19 @@ impl Matrix {
             b.shape()
         );
         if self.cols == 0 {
+            return;
+        }
+        if a.rows == 1 {
+            // One term per sum: the scratch would hold exactly
+            // `0.0 + x·y`, and the `0.0 +` keeps its rounding (−0 → +0).
+            for (out_row, &x) in self.data.chunks_exact_mut(self.cols).zip(&a.data) {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out_row.iter_mut().zip(&b.data) {
+                    *o += 0.0 + x * y;
+                }
+            }
             return;
         }
         let mut scratch = vec![0.0; self.cols];

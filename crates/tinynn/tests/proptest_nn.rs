@@ -120,8 +120,8 @@ fn arb_activation() -> impl Strategy<Value = Activation> {
 }
 
 /// Layer widths (2–4 layers), a batch size including the two shapes the
-/// agent runs (1 row for the value net, 65 rows for the policy kernel),
-/// and a seed for the weights and inputs.
+/// agent runs (1 row for the value net, up to 65 rows for the policy
+/// kernel at 64 slots), and a seed for the weights and inputs.
 fn arb_net() -> impl Strategy<Value = (Vec<usize>, usize, u64)> {
     (
         proptest::collection::vec(1usize..13, 2..5),
@@ -287,34 +287,60 @@ proptest! {
     }
 
     /// Each fused `Matrix` kernel equals its composed counterpart bit for
-    /// bit.
+    /// bit. Every run also checks one input row (the value net's shape,
+    /// and the policy's when one row is valid), which takes
+    /// `add_transposed_matmul_assign`'s one-row path.
     #[test]
     fn fused_kernels_are_bit_identical(
         (rows, inner, cols) in (1usize..10, 1usize..12, 1usize..11),
         seed in any::<u64>(),
     ) {
-        let a = input_with_zeros(rows, inner, seed);
+        for rows in [rows, 1] {
+            // Inputs and gradients may hold −0.0 as well as +0.0.
+            let mut a = with_negative_zeros(input_with_zeros(rows, inner, seed), seed);
+            a.data_mut()[0] = -1.25; // at least one product to add
+            let g = with_negative_zeros(input_with_zeros(rows, cols, seed.rotate_left(23)), !seed);
 
-        // Accumulators never hold -0.0 (sums started at +0.0 cannot reach
-        // it), which is what lets the kernel skip all-zero rows.
-        let g = input_with_zeros(rows, cols, seed.rotate_left(23));
-        let acc = input_with_zeros(inner, cols, seed.rotate_left(31));
-        let mut fused = acc.clone();
-        fused.add_transposed_matmul_assign(&a, &g);
-        let mut composed = acc;
-        composed.add_scaled_assign(&a.transpose().matmul(&g), 1.0);
-        prop_assert!(same_bits(&fused, &composed));
+            // Accumulators never hold -0.0 (sums started at +0.0 cannot
+            // reach it), which is what lets the kernel skip all-zero rows.
+            // A row that does get products is summed from +0.0 first, so
+            // there even a -0.0 accumulator comes out as composed.
+            let mut acc = input_with_zeros(inner, cols, seed.rotate_left(31));
+            if rows == 1 {
+                for (row, &x) in acc.data_mut().chunks_exact_mut(cols).zip(a.data()) {
+                    if x != 0.0 {
+                        row.iter_mut().filter(|v| **v == 0.0).for_each(|v| *v = -0.0);
+                    }
+                }
+            }
+            let mut fused = acc.clone();
+            fused.add_transposed_matmul_assign(&a, &g);
+            let mut composed = acc;
+            composed.add_scaled_assign(&a.transpose().matmul(&g), 1.0);
+            prop_assert!(same_bits(&fused, &composed), "rows = {}", rows);
 
-        let acc = input_with_zeros(1, cols, seed.rotate_left(41));
-        let mut fused = acc.clone();
-        fused.add_col_sums_assign(&g);
-        let mut composed = acc;
-        composed.add_scaled_assign(&g.col_sums(), 1.0);
-        prop_assert!(same_bits(&fused, &composed));
+            let acc = input_with_zeros(1, cols, seed.rotate_left(41));
+            let mut fused = acc.clone();
+            fused.add_col_sums_assign(&g);
+            let mut composed = acc;
+            composed.add_scaled_assign(&g.col_sums(), 1.0);
+            prop_assert!(same_bits(&fused, &composed));
 
-        let bias = input_with_zeros(1, cols, seed.rotate_left(47));
-        let mut fused = g.clone();
-        fused.add_row_map_assign(&bias, f64::tanh);
-        prop_assert!(same_bits(&fused, &g.add_row_broadcast(&bias).map(f64::tanh)));
+            let bias = input_with_zeros(1, cols, seed.rotate_left(47));
+            let mut fused = g.clone();
+            fused.add_row_map_assign(&bias, f64::tanh);
+            prop_assert!(same_bits(&fused, &g.add_row_broadcast(&bias).map(f64::tanh)));
+        }
     }
+}
+
+/// `m` with about half of its exact zeros turned into `-0.0`.
+fn with_negative_zeros(mut m: Matrix, seed: u64) -> Matrix {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x2e60);
+    for v in m.data_mut() {
+        if *v == 0.0 && rng.random_range(0..2) == 0 {
+            *v = -0.0;
+        }
+    }
+    m
 }
