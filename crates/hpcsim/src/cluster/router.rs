@@ -124,12 +124,12 @@ impl RouterPlanCache {
     }
 
     /// Sums the passive profile counters of every cached per-partition
-    /// plan (the cache's profiles accumulate across rebuilds — `reset`
+    /// plan (the cache's profiles accumulate across rebuilds — `reset_to_running`
     /// keeps stats — so this is the cache's whole history).
     pub fn profile_stats(&self) -> ProfileStats {
         let mut total = ProfileStats::default();
         for entry in self.parts.borrow().iter() {
-            total.absorb(&entry.profile.stats());
+            total.absorb(entry.profile.stats());
         }
         total
     }
@@ -189,11 +189,10 @@ impl PartRouterPlan {
         self.sorted.clear();
         self.sorted.extend_from_slice(p.queue());
         policy.sort_queue(&mut self.sorted, now);
-        self.profile.reset(now, p.free());
-        for r in p.running() {
-            self.profile
-                .add_release((r.start + estimator.estimate(&r.job)).max(now), r.job.procs);
-        }
+        self.profile
+            .reset_to_running(now, p.free(), p.running(), |r| {
+                r.start + estimator.estimate(&r.job)
+            });
         self.chain.clear();
         self.depth = 0;
         self.stamp = p.version();
@@ -432,11 +431,9 @@ impl EarliestStart {
     /// both paths are pinned to.
     fn estimated_start_scratch(&self, job: &Job, view: &ClusterView<'_>, i: usize) -> f64 {
         let p = &view.parts[i]; // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
-        let mut prof = AvailabilityProfile::new(view.now, p.free());
-        for r in p.running() {
-            let est_end = (r.start + self.estimator.estimate(&r.job)).max(view.now);
-            prof.add_release(est_end, r.job.procs);
-        }
+        let mut prof = AvailabilityProfile::of_running(view.now, p.free(), p.running(), |r| {
+            r.start + self.estimator.estimate(&r.job)
+        });
         // The candidate job's durations scale with the partition's speed —
         // both for its own fit and for its rank among the queued jobs
         // (which are stored already scaled).

@@ -116,11 +116,17 @@ pub fn easy_pass_with_order<S: BackfillSim>(
 /// estimator — exposed for tests, observation encodings and diagnostics.
 /// Always computed from scratch (read-only access); the scheduling pass
 /// itself goes through [`BackfillSim::shadow_extra`].
-pub fn shadow_and_extra<S: BackfillSim>(
+pub fn shadow_and_extra<S: BackfillSim + ?Sized>(
     sim: &S,
     estimator: RuntimeEstimator,
 ) -> Option<(f64, u32)> {
-    crate::plan::from_scratch_shadow_extra(sim, estimator)
+    crate::plan::from_scratch_shadow_extra(
+        sim.now(),
+        sim.free_procs(),
+        sim.running(),
+        sim.queue(),
+        estimator,
+    )
 }
 
 #[cfg(test)]

@@ -21,12 +21,14 @@
 //!   are *not* part of [`Telemetry`]: they are timing, not behavior.
 //!
 //! Deep layers that the generic parameter cannot reach cheaply (the
-//! availability profiles of [`crate::profile`], the planner of
-//! [`crate::plan`], the router plan cache of [`crate::cluster::router`])
-//! keep **passive stats** — plain integer counters defined here
-//! ([`ProfileStats`], [`PlanStats`], [`RouterStats`]) that are always on
-//! (a handful of integer adds on already-expensive paths) and harvested
-//! into the probe once, when the simulation completes.
+//! availability profiles of [`crate::profile`], the router plan cache of
+//! [`crate::cluster::router`]) keep **passive stats** — plain integer
+//! counters defined here ([`ProfileStats`], [`RouterStats`]) that are
+//! always on (a handful of integer adds on already-expensive paths) and
+//! harvested into the probe once, when the simulation completes. The
+//! planner's suffix repairs are not passive stats: each conservative pass
+//! reports its repair through [`Probe::on_plan_repaired`], the one ledger
+//! both [`Telemetry::plan_repairs`] and the audit log are built from.
 //!
 //! The [`audit`] submodule builds the third output on the same trait: a
 //! typed, wall-clock-free per-job decision log ([`audit::AuditLog`])
@@ -112,15 +114,9 @@ impl RepairCause {
         }
     }
 
+    /// Position in [`REPAIR_CAUSES`] (declaration order).
     fn index(self) -> usize {
-        match self {
-            RepairCause::Arrival => 0,
-            RepairCause::Stale => 1,
-            RepairCause::OffPlanStart => 2,
-            RepairCause::Migration => 3,
-            RepairCause::EarlyCompletion => 4,
-            RepairCause::Resort => 5,
-        }
+        self as usize
     }
 }
 
@@ -209,44 +205,6 @@ impl ProfileStats {
         self.fit_calls += other.fit_calls;
         self.buckets_scanned += other.buckets_scanned;
         self.scan_hist.merge(&other.scan_hist);
-    }
-
-    /// Resets every counter (used when a profile is cloned into a new
-    /// role, so its history is not double-counted).
-    pub fn clear(&mut self) {
-        *self = ProfileStats::default();
-    }
-}
-
-/// Passive counters of the conservative planner (`plan::Planner`):
-/// suffix-repair passes broken down by dominant [`RepairCause`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Repair passes by cause (indexed like [`REPAIR_CAUSES`]).
-    pub repairs: [u64; 6],
-    /// Total plan entries (re)planned, by cause.
-    pub repaired_entries: [u64; 6],
-    /// Suffix length per repair pass (log₂ buckets).
-    pub repair_len_hist: Histogram,
-}
-
-impl PlanStats {
-    /// Records one repair pass of `len` entries attributed to `cause`.
-    #[inline]
-    pub fn record_repair(&mut self, cause: RepairCause, len: usize) {
-        let i = cause.index();
-        self.repairs[i] += 1;
-        self.repaired_entries[i] += len as u64;
-        self.repair_len_hist.record(len as u64);
-    }
-
-    /// Adds `other` into `self`.
-    pub fn absorb(&mut self, other: &PlanStats) {
-        for i in 0..REPAIR_CAUSES.len() {
-            self.repairs[i] += other.repairs[i];
-            self.repaired_entries[i] += other.repaired_entries[i];
-        }
-        self.repair_len_hist.merge(&other.repair_len_hist);
     }
 }
 
@@ -395,10 +353,6 @@ pub trait Probe: std::fmt::Debug + Clone {
     /// Idempotent set semantics: a later call replaces the value.
     #[inline]
     fn set_profile_stats(&mut self, _stats: ProfileStats) {}
-
-    /// End-of-run harvest of the planner's repair stats (set semantics).
-    #[inline]
-    fn set_plan_stats(&mut self, _stats: PlanStats) {}
 
     /// End-of-run harvest of the router-cache stats (set semantics).
     #[inline]
@@ -596,7 +550,19 @@ impl Recorder {
         Recorder {
             origin: Instant::now(),
             record_spans,
-            telemetry: Telemetry::default(),
+            telemetry: Telemetry {
+                // Every cause serializes, with zeros when nothing was
+                // repaired.
+                plan_repairs: REPAIR_CAUSES
+                    .iter()
+                    .map(|cause| RepairRow {
+                        cause: cause.name().to_string(),
+                        count: 0,
+                        entries: 0,
+                    })
+                    .collect(),
+                ..Telemetry::default()
+            },
             spans: Vec::new(),
             open: Vec::new(),
         }
@@ -694,6 +660,16 @@ impl Probe for Recorder {
     }
 
     #[inline]
+    fn on_plan_repaired(&mut self, _t: f64, _part: usize, cause: RepairCause, entries: usize) {
+        // `Recorder::new` builds one row per cause, in `index` order.
+        if let Some(row) = self.telemetry.plan_repairs.get_mut(cause.index()) {
+            row.count += 1;
+            row.entries += entries as u64;
+        }
+        self.telemetry.repair_len_hist.record(entries as u64);
+    }
+
+    #[inline]
     fn on_platform_event(&mut self, _t: f64, _event: &crate::platform::PlatformEvent) {
         self.telemetry.platform_events += 1;
     }
@@ -752,18 +728,6 @@ impl Probe for Recorder {
         self.telemetry.bucket_scan_hist = stats.scan_hist;
     }
 
-    fn set_plan_stats(&mut self, stats: PlanStats) {
-        self.telemetry.plan_repairs = REPAIR_CAUSES
-            .iter()
-            .map(|&cause| RepairRow {
-                cause: cause.name().to_string(),
-                count: stats.repairs[cause.index()],
-                entries: stats.repaired_entries[cause.index()],
-            })
-            .collect();
-        self.telemetry.repair_len_hist = stats.repair_len_hist.clone();
-    }
-
     fn set_router_stats(&mut self, stats: RouterStats) {
         self.telemetry.router_candidate_evals = stats.candidate_evals;
         self.telemetry.router_plan_reuses = stats.plan_reuses;
@@ -814,12 +778,8 @@ mod tests {
         rec.on_queue_depth(7);
         rec.on_backfill(true);
         rec.on_backfill(false);
-        rec.set_plan_stats({
-            let mut p = PlanStats::default();
-            p.record_repair(RepairCause::Arrival, 4);
-            p.record_repair(RepairCause::Resort, 9);
-            p
-        });
+        rec.on_plan_repaired(1.0, 0, RepairCause::Arrival, 4);
+        rec.on_plan_repaired(2.0, 0, RepairCause::Resort, 9);
         rec.set_router_stats(RouterStats {
             candidate_evals: 10,
             plan_reuses: 8,
@@ -836,6 +796,12 @@ mod tests {
         assert_eq!(back.backfill_hits, 1);
         let arrival = &back.plan_repairs[0];
         assert_eq!((arrival.cause.as_str(), arrival.count), ("arrival", 1));
+        assert_eq!(back.plan_repairs.len(), REPAIR_CAUSES.len());
+        assert_eq!(back.plan_repairs[5].cause, "resort");
+        assert_eq!(back.repair_len_hist.total(), 2);
+        for (i, cause) in REPAIR_CAUSES.iter().enumerate() {
+            assert_eq!(cause.index(), i, "{}", cause.name());
+        }
     }
 
     #[test]

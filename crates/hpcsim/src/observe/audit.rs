@@ -30,8 +30,9 @@
 //! `RunReport.attribution` when a spec opts in); [`AuditLog::explain`]
 //! renders the human narrative behind `scenario explain`.
 
-use super::{Phase, PlanStats, Probe, ProfileStats, Recorder, RepairCause, RouterStats, Telemetry};
+use super::{Phase, Probe, ProfileStats, Recorder, RepairCause, RouterStats, Telemetry};
 use crate::cluster::Partition;
+use crate::timeline::window_timeline;
 use serde::Serialize as _;
 use std::collections::BTreeMap;
 use swf::Job;
@@ -681,9 +682,10 @@ impl AuditLog {
     }
 
     /// The per-partition timeline section of the export: Gantt entries
-    /// plus a sampled busy-processor curve (edge sweep, like
-    /// [`crate::timeline::utilization_timeline`] but per partition and
-    /// derived from audit records rather than `CompletedJob`s).
+    /// plus a sampled busy-processor curve
+    /// ([`crate::timeline::window_timeline`] over the partition's
+    /// execution windows, derived from audit records rather than
+    /// `CompletedJob`s).
     fn timeline_value(&self) -> serde::Value {
         use serde::Value;
         let parts = self.gantt();
@@ -702,12 +704,13 @@ impl AuditLog {
                         ])
                     })
                     .collect();
-                let util: Vec<Value> = sample_busy(entries, TIMELINE_SAMPLES)
+                let windows = entries.iter().map(|e| (e.start, e.end, e.procs));
+                let util: Vec<Value> = window_timeline(windows, TIMELINE_SAMPLES)
                     .into_iter()
-                    .map(|(t, busy)| {
+                    .map(|s| {
                         Value::Object(vec![
-                            ("time".into(), t.to_value()),
-                            ("busy".into(), busy.to_value()),
+                            ("time".into(), s.time.to_value()),
+                            ("busy".into(), s.busy.to_value()),
                         ])
                     })
                     .collect();
@@ -889,39 +892,6 @@ impl AuditLog {
     }
 }
 
-/// Samples the busy-processor count of one partition's Gantt entries at
-/// `samples` midpoints of its span — one edge sweep.
-fn sample_busy(entries: &[GanttEntry], samples: usize) -> Vec<(f64, u32)> {
-    if entries.is_empty() || samples == 0 {
-        return Vec::new();
-    }
-    let start = entries
-        .iter()
-        .map(|e| e.start)
-        .fold(f64::INFINITY, f64::min);
-    let end = entries.iter().map(|e| e.end).fold(0.0f64, f64::max);
-    let span = (end - start).max(1e-9);
-    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(2 * entries.len());
-    for e in entries {
-        edges.push((e.start, e.procs as i64));
-        edges.push((e.end, -(e.procs as i64)));
-    }
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut busy = 0i64;
-    let mut next = 0;
-    (0..samples)
-        .map(|i| {
-            let t = start + span * (i as f64 + 0.5) / samples as f64;
-            while edges.get(next).is_some_and(|&(et, _)| et <= t) {
-                busy += edges[next].1;
-                next += 1;
-            }
-            debug_assert!(busy >= 0, "negative occupancy at t={t}");
-            (t, busy as u32)
-        })
-        .collect()
-}
-
 /// One waiting job's live attribution state.
 #[derive(Debug, Clone)]
 struct WaitState {
@@ -1026,10 +996,6 @@ impl Probe for AuditProbe {
         self.recorder.set_profile_stats(stats);
     }
 
-    fn set_plan_stats(&mut self, stats: PlanStats) {
-        self.recorder.set_plan_stats(stats);
-    }
-
     fn set_router_stats(&mut self, stats: RouterStats) {
         self.recorder.set_router_stats(stats);
     }
@@ -1087,6 +1053,7 @@ impl Probe for AuditProbe {
     }
 
     fn on_plan_repaired(&mut self, t: f64, part: usize, cause: RepairCause, entries: usize) {
+        self.recorder.on_plan_repaired(t, part, cause, entries);
         self.records.push(AuditRecord::PlanRepaired {
             t,
             part,

@@ -41,17 +41,19 @@
 //! The invalidation rules are *exact*, not heuristic: repaired plans are
 //! bitwise identical to a from-scratch replan, which
 //! `Planner::conservative_starts` re-checks against
-//! [`from_scratch_conservative_starts`] under `cfg(debug_assertions)` (the
+//! `from_scratch_conservative_plan` under `cfg(debug_assertions)` (the
 //! debug oracle — every debug-mode test run of every scenario doubles as a
 //! differential test of this module), and
 //! `tests/proptest_plan.rs` pins under random arrival/completion/migration
-//! interleavings.
+//! interleavings. The EASY shadow and the backfill-delay check have the
+//! same kind of oracle against [`from_scratch_shadow_extra`] and a
+//! scratch ground-truth profile.
 
 use crate::cluster::Partition;
 use crate::estimator::RuntimeEstimator;
-use crate::observe::{PlanStats, ProfileStats, RepairCause};
+use crate::observe::{ProfileStats, RepairCause};
 use crate::profile::AvailabilityProfile;
-use crate::state::BackfillSim;
+use crate::state::RunningJob;
 use swf::Job;
 
 /// Time slack when deciding whether a planned start is "now" (must match
@@ -108,10 +110,7 @@ impl ConsPlan {
     /// Accumulates an invalidation cause; between two passes the most
     /// disruptive one wins ([`RepairCause`] orders by disruption).
     fn note(&mut self, cause: RepairCause) {
-        self.pending_cause = Some(match self.pending_cause {
-            Some(prev) => prev.max(cause),
-            None => cause,
-        });
+        self.pending_cause = self.pending_cause.max(Some(cause));
     }
 
     /// The queue's order changed wholesale (a policy re-sort): nothing
@@ -148,19 +147,24 @@ impl EstState {
     fn build(parts: &[Partition], estimator: RuntimeEstimator, now: f64) -> Self {
         let parts = parts
             .iter()
-            .map(|p| {
-                let mut releases = AvailabilityProfile::new(now, p.free());
-                for r in p.running() {
-                    releases.add_release_raw(r.start + estimator.estimate(&r.job), r.job.procs);
-                }
-                PartPlan {
-                    releases,
-                    cons: None,
-                }
+            .map(|p| PartPlan {
+                releases: raw_releases(p, now, |r| r.start + estimator.estimate(&r.job)),
+                cons: None,
             })
             .collect(); // simlint: allow(hot-alloc) — cold from-scratch ConsPlan build; steady state uses incremental repair
         Self { estimator, parts }
     }
+}
+
+/// A persistent release profile of `p`'s running jobs: one release per
+/// job at exactly `end(job)`, unclamped, so that the job's completion can
+/// retract the edge bitwise (see `AvailabilityProfile::add_release_raw`).
+fn raw_releases(p: &Partition, now: f64, end: impl Fn(&RunningJob) -> f64) -> AvailabilityProfile {
+    let mut prof = AvailabilityProfile::new(now, p.free());
+    for r in p.running() {
+        prof.add_release_raw(end(r), r.job.procs);
+    }
+    prof
 }
 
 /// The persistent planning layer owned by `state::Simulation`. All hooks
@@ -174,29 +178,11 @@ pub(crate) struct Planner {
     /// Estimated planning state, keyed by the estimator of the first
     /// consumer; a consult under a different estimator rebuilds it.
     est: Option<EstState>,
-    /// Passive suffix-repair accounting (see [`crate::observe`]).
-    stats: PlanStats,
-    /// The repair performed by the most recent [`Planner::conservative_starts`]
-    /// call, for the audit log's `plan_repaired` records; `None` when the
-    /// last pass repaired nothing. Overwritten every pass, consumed by
-    /// [`Planner::take_last_repair`].
-    last_repair: Option<(RepairCause, usize)>,
 }
 
 impl Planner {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A snapshot of the planner's suffix-repair accounting.
-    pub fn stats(&self) -> PlanStats {
-        self.stats.clone() // simlint: allow(hot-alloc) — stats snapshot is probe-gated diagnostics, not the scheduling path
-    }
-
-    /// The (cause, entries) repair of the most recent conservative pass,
-    /// if it repaired anything. Consuming — a second call returns `None`.
-    pub fn take_last_repair(&mut self) -> Option<(RepairCause, usize)> {
-        self.last_repair.take()
     }
 
     /// Sums the passive profile counters of every persistent profile the
@@ -206,14 +192,14 @@ impl Planner {
         let mut total = ProfileStats::default();
         if let Some(actual) = &self.actual {
             for prof in actual {
-                total.absorb(&prof.stats());
+                total.absorb(prof.stats());
             }
         }
         if let Some(est) = &self.est {
             for pp in &est.parts {
-                total.absorb(&pp.releases.stats());
+                total.absorb(pp.releases.stats());
                 if let Some(cons) = &pp.cons {
-                    total.absorb(&cons.combined.stats());
+                    total.absorb(cons.combined.stats());
                 }
             }
         }
@@ -356,14 +342,16 @@ impl Planner {
     /// Runs the incremental conservative planning pass for partition `p`:
     /// repairs the invalidated suffix of the reservation plan and returns
     /// the queue positions (ascending, head excluded) whose reservation
-    /// start is "now" — the backfill set of the pass.
+    /// start is "now" — the backfill set of the pass — with the repair it
+    /// made: the dominant [`RepairCause`] and the number of entries
+    /// replanned, `None` when the whole plan was still valid.
     pub fn conservative_starts(
         &mut self,
         parts: &[Partition],
         p: usize,
         estimator: RuntimeEstimator,
         now: f64,
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, Option<(RepairCause, usize)>) {
         self.ensure_est(parts, estimator, now);
         let part = &parts[p]; // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
         let pp = &mut self.est.as_mut().expect("just ensured").parts[p]; // simlint: allow(panic-path) — ensure_est on the preceding line guarantees est is Some
@@ -398,15 +386,14 @@ impl Planner {
             cons.note(RepairCause::Stale);
         }
         let repair_len = part.queue().len() - cons.dirty_from;
-        if repair_len > 0 {
-            // A freshly materialized plan has no noted cause; its first
-            // full derivation is attributed to arrivals.
-            let cause = cons.pending_cause.unwrap_or(RepairCause::Arrival);
-            self.stats.record_repair(cause, repair_len);
-            self.last_repair = Some((cause, repair_len));
-        } else {
-            self.last_repair = None;
-        }
+        // A freshly materialized plan has no noted cause; its first full
+        // derivation is attributed to arrivals.
+        let repair = (repair_len > 0).then(|| {
+            (
+                cons.pending_cause.unwrap_or(RepairCause::Arrival),
+                repair_len,
+            )
+        });
         cons.pending_cause = None;
         for j in cons.dirty_from..part.queue().len() {
             let job = &part.queue()[j]; // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
@@ -425,13 +412,7 @@ impl Planner {
         cons.dirty_from = part.queue().len();
         #[cfg(debug_assertions)]
         assert_plan_matches_scratch(part, estimator, now, &cons.plan);
-        cons.plan
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, e)| e.start <= now + EPS)
-            .map(|(i, _)| i)
-            .collect() // simlint: allow(hot-alloc) — the due-starts action set is an owned Vec by BackfillSim contract
+        (due_starts(cons.plan.iter().map(|e| e.start), now), repair)
     }
 
     /// The EASY shadow time and extra-processor count for partition `p`'s
@@ -448,21 +429,21 @@ impl Planner {
         let pp = &mut self.est.as_mut().expect("just ensured").parts[p]; // simlint: allow(panic-path) — ensure_est on the preceding line guarantees est is Some
         pp.releases.advance_to(now);
         debug_assert_eq!(pp.releases.baseline(), parts[p].free() as i64); // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
-        let shadow = pp.releases.earliest_fit(reserved.procs, 0.0, now);
-        let extra = (pp.releases.avail_at(shadow) - reserved.procs as i64).max(0) as u32;
+        let (shadow, extra) = shadow_of(&mut pp.releases, reserved.procs);
         #[cfg(debug_assertions)]
         {
             // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
             let part = &parts[p];
-            let mut prof = AvailabilityProfile::new(now, part.free());
-            for r in part.running() {
-                prof.add_release((r.start + estimator.estimate(&r.job)).max(now), r.job.procs);
-            }
-            let s = prof.earliest_avail(reserved.procs);
-            let x = (prof.avail_at(s) - reserved.procs as i64).max(0) as u32;
+            let scratch = from_scratch_shadow_extra(
+                now,
+                part.free(),
+                part.running(),
+                part.queue(),
+                estimator,
+            );
             assert!(
-                shadow.to_bits() == s.to_bits() && extra == x,
-                "persistent shadow ({shadow}, {extra}) diverged from scratch ({s}, {x})"
+                scratch.is_some_and(|(s, x)| shadow.to_bits() == s.to_bits() && extra == x),
+                "persistent shadow ({shadow}, {extra}) diverged from scratch {scratch:?}"
             );
         }
         (shadow, extra)
@@ -483,13 +464,7 @@ impl Planner {
         let actual = self.actual.get_or_insert_with(|| {
             parts
                 .iter()
-                .map(|pt| {
-                    let mut prof = AvailabilityProfile::new(now, pt.free());
-                    for r in pt.running() {
-                        prof.add_release_raw(r.start + r.job.runtime, r.job.procs);
-                    }
-                    prof
-                })
+                .map(|pt| raw_releases(pt, now, RunningJob::end))
                 .collect() // simlint: allow(hot-alloc) — one-time ground-truth profile build, cached for the whole run
         });
         let prof = &mut actual[p]; // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
@@ -503,10 +478,8 @@ impl Planner {
         {
             // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
             let part = &parts[p];
-            let mut scratch = AvailabilityProfile::new(now, part.free());
-            for r in part.running() {
-                scratch.add_release(r.end().max(now), r.job.procs);
-            }
+            let mut scratch =
+                AvailabilityProfile::of_running(now, part.free(), part.running(), RunningJob::end);
             let b = scratch.earliest_avail(reserved_procs);
             scratch.add_usage(now, now + job.runtime, job.procs);
             let a = scratch.earliest_avail(reserved_procs);
@@ -519,53 +492,85 @@ impl Planner {
     }
 }
 
-/// The from-scratch conservative planning pass over any [`BackfillSim`]:
-/// plans a reservation for every queued job in priority order against a
-/// freshly built availability profile and returns the queue positions
-/// (head excluded) whose planned start is "now". This is the seed-pinned
-/// semantics, the default for engines without a persistent planner, and
-/// the planner's debug oracle.
-pub fn from_scratch_conservative_starts<S: BackfillSim + ?Sized>(
-    sim: &S,
-    estimator: RuntimeEstimator,
-) -> Vec<usize> {
-    let now = sim.now();
-    let mut prof = AvailabilityProfile::new(now, sim.free_procs());
-    for r in sim.running() {
-        prof.add_release((r.start + estimator.estimate(&r.job)).max(now), r.job.procs);
-    }
-    let mut starts = Vec::new(); // simlint: allow(hot-alloc) — Vec::new allocates nothing; the buffer grows once and is reused
-    for (i, job) in sim.queue().iter().enumerate() {
-        let est = estimator.estimate(job);
-        let t = prof.earliest_fit(job.procs, est, now);
-        debug_assert!(t.is_finite(), "every queued job fits an empty cluster");
-        prof.add_usage(t, t + est, job.procs);
-        // Index 0 is the reserved head job: if it could start now the
-        // simulator would have started it already, so only later jobs
-        // (true backfills) are collected.
-        if i > 0 && t <= now + EPS {
-            starts.push(i);
-        }
-    }
+/// The queue positions (ascending, head excluded) whose planned start is
+/// "now". Index 0 is the reserved head job: if it could start now the
+/// simulator would have started it already, so only later jobs (true
+/// backfills) are collected.
+fn due_starts(starts: impl Iterator<Item = f64>, now: f64) -> Vec<usize> {
     starts
+        .enumerate()
+        .skip(1)
+        .filter(|&(_, t)| t <= now + EPS)
+        .map(|(i, _)| i)
+        .collect() // simlint: allow(hot-alloc) — the due-starts action set is an owned Vec by BackfillSim contract
 }
 
-/// The from-scratch EASY shadow/extra computation over any
-/// [`BackfillSim`] — the default for engines without a persistent
-/// planner.
-pub fn from_scratch_shadow_extra<S: BackfillSim + ?Sized>(
-    sim: &S,
+/// The EASY shadow time of a `procs`-wide reserved job on a release
+/// profile, and the processors left over at that instant.
+fn shadow_of(releases: &mut AvailabilityProfile, procs: u32) -> (f64, u32) {
+    let shadow = releases.earliest_avail(procs);
+    let extra = (releases.avail_at(shadow) - procs as i64).max(0) as u32;
+    (shadow, extra)
+}
+
+/// The from-scratch conservative plan: every job of `queue`, in priority
+/// order, is granted its earliest reservation against a fresh release
+/// profile of `running`, and the planned starts are returned, one per
+/// queue position — the planner's debug oracle and the body of
+/// [`from_scratch_conservative_starts`].
+fn from_scratch_conservative_plan(
+    now: f64,
+    free: u32,
+    running: &[RunningJob],
+    queue: &[Job],
+    estimator: RuntimeEstimator,
+) -> Vec<f64> {
+    let mut prof = AvailabilityProfile::of_running(now, free, running, |r| {
+        r.start + estimator.estimate(&r.job)
+    });
+    queue
+        .iter()
+        .map(|job| {
+            let est = estimator.estimate(job);
+            let t = prof.earliest_fit(job.procs, est, now);
+            debug_assert!(t.is_finite(), "every queued job fits an empty cluster");
+            prof.add_usage(t, t + est, job.procs);
+            t
+        })
+        .collect() // simlint: allow(hot-alloc) — from-scratch plan for engines without a persistent planner and the debug oracle
+}
+
+/// The from-scratch conservative planning pass: the queue positions (head
+/// excluded) whose `from_scratch_conservative_plan` start is "now" — the
+/// seed-pinned semantics, and the default for engines without a
+/// persistent planner.
+pub fn from_scratch_conservative_starts(
+    now: f64,
+    free: u32,
+    running: &[RunningJob],
+    queue: &[Job],
+    estimator: RuntimeEstimator,
+) -> Vec<usize> {
+    let plan = from_scratch_conservative_plan(now, free, running, queue, estimator);
+    due_starts(plan.into_iter(), now)
+}
+
+/// The from-scratch EASY shadow time and extra-processor count for the
+/// reserved job (`queue[0]`), or `None` with an empty queue — the default
+/// for engines without a persistent planner, and the planner's debug
+/// oracle.
+pub fn from_scratch_shadow_extra(
+    now: f64,
+    free: u32,
+    running: &[RunningJob],
+    queue: &[Job],
     estimator: RuntimeEstimator,
 ) -> Option<(f64, u32)> {
-    let reserved = *sim.reserved_job()?;
-    let now = sim.now();
-    let mut prof = AvailabilityProfile::new(now, sim.free_procs());
-    for r in sim.running() {
-        prof.add_release((r.start + estimator.estimate(&r.job)).max(now), r.job.procs);
-    }
-    let shadow = prof.earliest_avail(reserved.procs);
-    let extra = (prof.avail_at(shadow) - reserved.procs as i64).max(0) as u32;
-    Some((shadow, extra))
+    let reserved = queue.first()?;
+    let mut prof = AvailabilityProfile::of_running(now, free, running, |r| {
+        r.start + estimator.estimate(&r.job)
+    });
+    Some(shadow_of(&mut prof, reserved.procs))
 }
 
 /// Debug oracle: the repaired plan must equal a from-scratch replan, job
@@ -577,21 +582,17 @@ fn assert_plan_matches_scratch(
     now: f64,
     plan: &[PlanEntry],
 ) {
-    let mut prof = AvailabilityProfile::new(now, part.free());
-    for r in part.running() {
-        prof.add_release((r.start + estimator.estimate(&r.job)).max(now), r.job.procs);
-    }
-    for (j, job) in part.queue().iter().enumerate() {
-        let est = estimator.estimate(job);
-        let t = prof.earliest_fit(job.procs, est, now);
-        prof.add_usage(t, t + est, job.procs);
+    let scratch =
+        from_scratch_conservative_plan(now, part.free(), part.running(), part.queue(), estimator);
+    assert_eq!(plan.len(), scratch.len(), "plan/queue lengths diverged");
+    for (j, ((job, e), t)) in part.queue().iter().zip(plan).zip(scratch).enumerate() {
         assert!(
-            plan[j].id == job.id && plan[j].start.to_bits() == t.to_bits(), // simlint: allow(panic-path) — divergence oracle — this fn exists to panic when the incremental plan drifts
+            e.id == job.id && e.start.to_bits() == t.to_bits(),
             "incremental plan diverged from scratch at queue[{j}] (job {}): \
              incremental ({}, {}), scratch ({}, {t})",
             job.id,
-            plan[j].id, // simlint: allow(panic-path) — divergence oracle — this fn exists to panic when the incremental plan drifts
-            plan[j].start, // simlint: allow(panic-path) — divergence oracle — this fn exists to panic when the incremental plan drifts
+            e.id,
+            e.start,
             job.id,
         );
     }

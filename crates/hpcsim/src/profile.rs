@@ -49,7 +49,7 @@
 //! suite pin down.
 
 use crate::observe::ProfileStats;
-use std::cell::RefCell;
+use crate::state::RunningJob;
 
 /// Target bucket width. Buckets split once they reach `2 * BUCKET_WIDTH`
 /// edges; they are never re-merged (a bucket that empties is removed).
@@ -68,12 +68,10 @@ pub struct AvailabilityProfile {
     /// Non-empty buckets, globally sorted by time.
     buckets: Vec<Bucket>,
     /// Retired edge storage, reused when a new bucket is needed — the
-    /// allocation-reuse half of `reset`.
+    /// allocation-reuse half of `reset_to_running`.
     spare: Vec<Edge>,
-    /// Passive operation counters (see [`crate::observe`]). `RefCell`
-    /// because `earliest_fit` takes `&self`; mutating paths use
-    /// `get_mut`, so only queries pay a borrow flag.
-    stats: RefCell<ProfileStats>, // simlint: allow(sync-audit) — single-threaded stats counters; become per-worker counters after the split
+    /// Passive operation counters (see [`crate::observe`]).
+    stats: ProfileStats,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -131,27 +129,36 @@ impl AvailabilityProfile {
             free: free as i64,
             buckets: Vec::new(), // simlint: allow(hot-alloc) — Vec::new allocates nothing; the buffer grows once and is reused
             spare: Vec::new(), // simlint: allow(hot-alloc) — Vec::new allocates nothing; the buffer grows once and is reused
-            stats: RefCell::new(ProfileStats::default()), // simlint: allow(sync-audit) — single-threaded stats counters; become per-worker counters after the split
+            stats: ProfileStats::default(),
         }
     }
 
-    /// A snapshot of the profile's passive operation counters. `reset`
-    /// keeps them cumulative (a reused scratch profile reports its whole
-    /// history); [`AvailabilityProfile::clear_stats`] zeroes them.
-    pub fn stats(&self) -> ProfileStats {
-        self.stats.borrow().clone() // simlint: allow(hot-alloc) — stats snapshot is probe-gated diagnostics, not the scheduling path
+    /// The release profile of `running` at `now`: `free` baseline
+    /// processors plus one release per running job at `end(job)`, clamped
+    /// to `now` — the from-scratch derivation every scratch profile and
+    /// debug oracle starts from.
+    pub fn of_running(
+        now: f64,
+        free: u32,
+        running: &[RunningJob],
+        end: impl Fn(&RunningJob) -> f64,
+    ) -> Self {
+        let mut prof = Self::new(now, free);
+        prof.reset_to_running(now, free, running, end);
+        prof
     }
 
-    /// Zeroes the passive counters — called when a profile is cloned into
-    /// a new role so the clone does not re-report its source's history.
-    pub fn clear_stats(&mut self) {
-        self.stats.get_mut().clear();
-    }
-
-    /// Empties the profile and rebases it at `now` with `free` baseline
-    /// processors, keeping one bucket's allocation for reuse — the
-    /// scratch-buffer path of the router's per-batch plan cache.
-    pub fn reset(&mut self, now: f64, free: u32) {
+    /// [`AvailabilityProfile::of_running`] in place: empties the profile
+    /// and rebuilds it, keeping one bucket's allocation for reuse — the
+    /// scratch-buffer path of the router's per-batch plan cache. The
+    /// passive counters carry over.
+    pub fn reset_to_running(
+        &mut self,
+        now: f64,
+        free: u32,
+        running: &[RunningJob],
+        end: impl Fn(&RunningJob) -> f64,
+    ) {
         self.now = now;
         self.free = free as i64;
         if let Some(mut b) = self.buckets.pop() {
@@ -159,6 +166,22 @@ impl AvailabilityProfile {
             self.spare = b.edges;
         }
         self.buckets.clear();
+        for r in running {
+            self.add_release(end(r), r.job.procs);
+        }
+    }
+
+    /// The profile's passive operation counters. `reset_to_running` keeps
+    /// them cumulative (a reused scratch profile reports its whole history);
+    /// [`AvailabilityProfile::clear_stats`] zeroes them.
+    pub fn stats(&self) -> &ProfileStats {
+        &self.stats
+    }
+
+    /// Zeroes the passive counters — called when a profile is cloned into
+    /// a new role so the clone does not re-report its source's history.
+    pub fn clear_stats(&mut self) {
+        self.stats = ProfileStats::default();
     }
 
     /// A fresh bucket backed by the spare allocation when available.
@@ -266,7 +289,7 @@ impl AvailabilityProfile {
 
     /// Merges one contribution into the timeline.
     fn insert_contrib(&mut self, time: f64, delta: i64) {
-        self.stats.get_mut().edge_inserts += 1;
+        self.stats.edge_inserts += 1;
         if self.buckets.is_empty() {
             let mut b = self.fresh_bucket();
             b.edges.push(Edge {
@@ -315,7 +338,7 @@ impl AvailabilityProfile {
     /// `time`. Edges with no remaining contributions are dropped (they
     /// must stop being fit candidates), empty buckets with them.
     fn remove_contrib(&mut self, time: f64, delta: i64) {
-        self.stats.get_mut().edge_removes += 1;
+        self.stats.edge_removes += 1;
         debug_assert!(!self.buckets.is_empty(), "removal from an empty profile");
         let bi = self.bucket_for(time);
         let bucket = &mut self.buckets[bi]; // simlint: allow(panic-path) — bucket/edge indices come from this profile's own binary search; in-bounds by construction
@@ -435,7 +458,7 @@ impl AvailabilityProfile {
     /// the search past the shortfall that blocked it (every candidate in
     /// between is provably blocked by the same shortfall), so each query
     /// touches a bucket's interior at most once per blocking shortfall.
-    pub fn earliest_fit(&self, procs: u32, duration: f64, not_before: f64) -> f64 {
+    pub fn earliest_fit(&mut self, procs: u32, duration: f64, not_before: f64) -> f64 {
         let not_before = not_before.max(self.now);
         let demand = procs as i64;
 
@@ -456,17 +479,16 @@ impl AvailabilityProfile {
                 Some(s) => lower = s,
             }
         };
-        let mut stats = self.stats.borrow_mut();
-        stats.fit_calls += 1;
-        stats.buckets_scanned += steps;
-        stats.scan_hist.record(steps);
+        self.stats.fit_calls += 1;
+        self.stats.buckets_scanned += steps;
+        self.stats.scan_hist.record(steps);
         fit
     }
 
     /// The earliest time ≥ `now` at which `procs` processors are available
     /// (ignoring how long they stay available) — the EASY *shadow time* for
     /// the reserved job when the profile only contains releases.
-    pub fn earliest_avail(&self, procs: u32) -> f64 {
+    pub fn earliest_avail(&mut self, procs: u32) -> f64 {
         self.earliest_fit(procs, 0.0, self.now)
     }
 }
@@ -477,7 +499,7 @@ mod tests {
 
     #[test]
     fn empty_profile_is_constant() {
-        let p = AvailabilityProfile::new(10.0, 8);
+        let mut p = AvailabilityProfile::new(10.0, 8);
         assert_eq!(p.avail_at(10.0), 8);
         assert_eq!(p.avail_at(1e9), 8);
         assert_eq!(p.earliest_fit(8, 100.0, 10.0), 10.0);
@@ -509,7 +531,7 @@ mod tests {
 
     #[test]
     fn fit_respects_not_before() {
-        let p = AvailabilityProfile::new(0.0, 8);
+        let mut p = AvailabilityProfile::new(0.0, 8);
         assert_eq!(p.earliest_fit(4, 10.0, 500.0), 500.0);
     }
 
@@ -656,10 +678,18 @@ mod tests {
         for i in 0..300 {
             p.add_usage(i as f64, i as f64 + 10.0, 1);
         }
-        p.reset(50.0, 16);
+        p.reset_to_running(50.0, 16, &[], RunningJob::end);
         assert_eq!(p.edge_count(), 0);
         assert_eq!(p.avail_at(50.0), 16);
         assert_eq!(p.earliest_fit(16, 10.0, 0.0), 50.0);
+        // Releases before the new origin clamp to it.
+        let running = [RunningJob {
+            job: swf::Job::new(0, 0.0, 4, 40.0, 40.0),
+            start: 0.0,
+        }];
+        p.reset_to_running(50.0, 12, &running, RunningJob::end);
+        assert_eq!(p.edges().collect::<Vec<_>>(), vec![(50.0, 4)]);
+        assert_eq!(p.avail_at(50.0), 16);
     }
 
     #[test]
@@ -668,7 +698,7 @@ mod tests {
         p.add_usage(50.0, 150.0, 6); // two edges
         p.earliest_fit(4, 100.0, 0.0);
         p.remove_usage(50.0, 150.0, 6);
-        let s = p.stats();
+        let s = p.stats().clone();
         assert_eq!(s.edge_inserts, 2);
         assert_eq!(s.edge_removes, 2);
         assert_eq!(s.fit_calls, 1);
@@ -676,8 +706,8 @@ mod tests {
         // Cloning copies the history; clearing starts a fresh role.
         let mut q = p.clone();
         q.clear_stats();
-        assert_eq!(q.stats(), crate::observe::ProfileStats::default());
-        assert_eq!(p.stats(), s);
+        assert_eq!(q.stats(), &crate::observe::ProfileStats::default());
+        assert_eq!(p.stats(), &s);
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl ReferenceSimulation {
         let Some(reserved) = self.reserved_job() else {
             return false;
         };
-        let prof = self.actual_profile();
+        let mut prof = self.actual_profile();
         let shadow_before = prof.earliest_avail(reserved.procs);
         let mut after = prof;
         after.add_usage(self.now, self.now + job.runtime, job.procs);

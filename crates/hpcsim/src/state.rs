@@ -197,7 +197,13 @@ pub trait BackfillSim {
     /// suffix repair — bitwise the same plan, checked by the planner's
     /// debug oracle and `tests/proptest_plan.rs`.
     fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
-        crate::plan::from_scratch_conservative_starts(self, estimator)
+        crate::plan::from_scratch_conservative_starts(
+            self.now(),
+            self.free_procs(),
+            self.running(),
+            self.queue(),
+            estimator,
+        )
     }
 
     /// The EASY shadow time and extra-processor count for the reserved
@@ -205,7 +211,7 @@ pub trait BackfillSim {
     /// from scratch; the kernel engine serves it from its persistent
     /// release profile.
     fn shadow_extra(&mut self, estimator: RuntimeEstimator) -> Option<(f64, u32)> {
-        crate::plan::from_scratch_shadow_extra(self, estimator)
+        crate::easy::shadow_and_extra(self, estimator)
     }
 
     /// Marks the start of an instrumentable scheduling phase. Engines
@@ -285,11 +291,11 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
 
     fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
         let p = self.active;
-        let starts = self
-            .planner
-            .conservative_starts(&self.parts, p, estimator, self.now);
+        let (starts, repair) =
+            self.planner
+                .conservative_starts(&self.parts, p, estimator, self.now);
         if P::ENABLED {
-            if let Some((cause, entries)) = self.planner.take_last_repair() {
+            if let Some((cause, entries)) = repair {
                 self.probe.on_plan_repaired(self.now, p, cause, entries);
             }
         }
@@ -681,7 +687,7 @@ impl<P: Probe> ProbedSimulation<P> {
 
     /// The reserved job (head of the active partition's queue), if any.
     pub fn reserved_job(&self) -> Option<&Job> {
-        self.parts[self.active].queue.first() // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.queue().first()
     }
 
     /// Advances the simulation until the next backfilling opportunity (in
@@ -1410,8 +1416,8 @@ impl<P: Probe> ProbedSimulation<P> {
     }
 
     /// Hands the passive counters of the deep layers (planner profiles,
-    /// suffix-repair accounting, router plan cache) to the probe. Runs at
-    /// `Done`; the set-semantics hooks make repeated harvests idempotent.
+    /// router plan cache) to the probe. Runs at `Done`; the set-semantics
+    /// hooks make repeated harvests idempotent.
     fn harvest_stats(&mut self) {
         if !P::ENABLED {
             return;
@@ -1419,7 +1425,6 @@ impl<P: Probe> ProbedSimulation<P> {
         let mut prof = self.planner.profile_stats();
         prof.absorb(&self.router_cache.profile_stats());
         self.probe.set_profile_stats(prof);
-        self.probe.set_plan_stats(self.planner.stats());
         self.probe.set_router_stats(self.router_cache.stats());
     }
 }

@@ -19,30 +19,45 @@ pub struct UtilizationSample {
 /// Samples processor usage over the schedule's makespan at `samples`
 /// equally spaced instants (piecewise-exact: occupancy is evaluated at
 /// each instant, not averaged).
+pub fn utilization_timeline(completed: &[CompletedJob], samples: usize) -> Vec<UtilizationSample> {
+    window_timeline(
+        completed.iter().map(|c| (c.start, c.end(), c.job.procs)),
+        samples,
+    )
+}
+
+/// Samples the processor usage of `(start, end, procs)` execution windows
+/// at `samples` equally spaced instants (the midpoints of `samples` equal
+/// slices of the windows' span) — the sweep behind
+/// [`utilization_timeline`] and the audit log's per-partition curves.
 ///
 /// Implemented as a single sweep over time-sorted start/end edges merged
 /// with the sorted sample instants — `O((n + samples) log n)` instead of
 /// the seed's `O(n × samples)` rescan, which dominated figure generation
 /// on 10K-job schedules.
-pub fn utilization_timeline(completed: &[CompletedJob], samples: usize) -> Vec<UtilizationSample> {
-    if completed.is_empty() || samples == 0 {
+pub fn window_timeline(
+    windows: impl Iterator<Item = (f64, f64, u32)>,
+    samples: usize,
+) -> Vec<UtilizationSample> {
+    if samples == 0 {
         return Vec::new();
     }
-    let start = completed
-        .iter()
-        .map(|c| c.start)
-        .fold(f64::INFINITY, f64::min);
-    let end = completed.iter().map(|c| c.end()).fold(0.0f64, f64::max);
-    let span = (end - start).max(1e-9);
-
-    // A job occupies `procs` on [start, end): at sample instant t it counts
-    // iff start <= t && t < end, i.e. apply +procs edges with time <= t and
-    // -procs edges with time <= t.
-    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(2 * completed.len());
-    for c in completed {
-        edges.push((c.start, c.job.procs as i64));
-        edges.push((c.end(), -(c.job.procs as i64)));
+    // A window occupies `procs` on [start, end): at sample instant t it
+    // counts iff start <= t && t < end, i.e. apply +procs edges with
+    // time <= t and -procs edges with time <= t.
+    let mut start = f64::INFINITY;
+    let mut end = 0.0f64;
+    let mut edges: Vec<(f64, i64)> = Vec::with_capacity(2 * windows.size_hint().0);
+    for (s, e, procs) in windows {
+        start = start.min(s);
+        end = end.max(e);
+        edges.push((s, procs as i64));
+        edges.push((e, -(procs as i64)));
     }
+    if edges.is_empty() {
+        return Vec::new();
+    }
+    let span = (end - start).max(1e-9);
     edges.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let mut busy = 0i64;

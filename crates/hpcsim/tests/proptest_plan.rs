@@ -166,7 +166,13 @@ fn run_scratch(case: &Case) -> Simulation {
         case.reroute,
     );
     while sim.advance() == SimEvent::BackfillOpportunity {
-        let starts = from_scratch_conservative_starts(&sim, case.estimator);
+        let starts = from_scratch_conservative_starts(
+            sim.now(),
+            sim.free_procs(),
+            sim.running(),
+            sim.queue(),
+            case.estimator,
+        );
         let mut started = 0;
         for pos in starts {
             if sim.backfill(pos - started).is_ok() {

@@ -220,7 +220,7 @@ proptest! {
         duration in 1.0f64..5_000.0,
         not_before in 0.0f64..5_000.0,
     ) {
-        let p = build(free, &events);
+        let mut p = build(free, &events);
         let naive = build_naive(free, &events);
         for &t in &probe_times(&events) {
             prop_assert!(p.avail_at(t) == naive.avail_at(t), "avail_at({}) diverged", t);
@@ -286,7 +286,7 @@ proptest! {
         duration in 1.0f64..5_000.0,
         not_before in 0.0f64..5_000.0,
     ) {
-        let p = build(free, &events);
+        let mut p = build(free, &events);
         let t = p.earliest_fit(procs, duration, not_before);
         prop_assert!(t.is_finite(), "demand below baseline free must always fit");
         prop_assert!(t >= not_before);

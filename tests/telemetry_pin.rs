@@ -8,11 +8,18 @@
 //! lost cache hits) trips this pin even though the schedule pins stay
 //! green.
 //!
+//! The 10k-job cells of `results/telemetry_scale.json` are pinned the
+//! same way, so the conservative planner's counters (`plan_repairs`,
+//! `repair_len_hist`, `bucket_scan_hist`) are checked by `cargo test`
+//! and not only by the `speed_probe` CI step that rewrites the file.
+//!
 //! Run from the workspace root (paths are workspace-relative, as in the
 //! CI smoke steps).
 
 use rlbackfill::hpcsim::scenario::{self, ScenarioSpec};
-use rlbackfill::hpcsim::Telemetry;
+use rlbackfill::hpcsim::{Backfill, Recorder, RuntimeEstimator, Telemetry};
+use rlbackfill::swf::{TracePreset, TraceSource};
+use serde_json::Value;
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path)
@@ -60,4 +67,60 @@ fn telemetry_counters_are_plausible_for_the_table3_workload() {
     assert!(telemetry.heap_depth_mean() > 0.0);
     assert!(telemetry.backfill_attempts >= telemetry.backfill_hits);
     assert!(telemetry.backfill_hits > 0, "EASY must backfill something");
+}
+
+/// The value under `key` of one `telemetry_scale.json` row.
+fn field<'a>(row: &'a Value, key: &str) -> &'a Value {
+    let Value::Object(fields) = row else {
+        panic!("telemetry_scale.json rows are objects");
+    };
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("telemetry_scale.json row without {key:?}"))
+}
+
+#[test]
+fn telemetry_scale_10k_cells_reproduce_byte_identically() {
+    // The recipe `speed_probe --telemetry` measures: a Lublin-1 preset
+    // trace under the bench crate's trace seed, FCFS, request-time
+    // estimates.
+    let source = TraceSource::Preset {
+        preset: TracePreset::Lublin1,
+        jobs: 10_000,
+        seed: 20240914,
+    };
+    let trace = source.materialize().expect("preset sources materialize");
+    let rows: Vec<Value> =
+        serde_json::from_str(&read("results/telemetry_scale.json")).expect("committed rows parse");
+    for (label, backfill) in [
+        (
+            "CONS",
+            Backfill::Conservative(RuntimeEstimator::RequestTime),
+        ),
+        ("EASY", Backfill::Easy(RuntimeEstimator::RequestTime)),
+    ] {
+        let spec = ScenarioSpec::builder(source.clone())
+            .backfill(backfill)
+            .build();
+        let (_, rec) = scenario::execute_recorded(&trace, &spec, Recorder::default())
+            .expect("kernel spec runs recorded");
+        let row = rows
+            .iter()
+            .find(|row| {
+                field(row, "trace") == &Value::String("Lublin-1".into())
+                    && serde_json::to_string(field(row, "jobs")).unwrap() == "10000"
+                    && field(row, "backfill") == &Value::String(label.into())
+            })
+            .unwrap_or_else(|| panic!("no Lublin-1 10000 {label} cell"));
+        let committed = serde_json::to_string_pretty(field(row, "telemetry")).unwrap();
+        assert_eq!(
+            rec.telemetry().to_json_pretty(),
+            committed,
+            "the Lublin-1 10000 {label} cell of results/telemetry_scale.json is not \
+             the byte-exact counter snapshot of a recorded run"
+        );
+        assert_eq!(&Telemetry::from_json(&committed).unwrap(), rec.telemetry());
+    }
 }
