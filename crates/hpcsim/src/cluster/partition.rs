@@ -22,6 +22,10 @@ use swf::Job;
 /// ([`crate::platform::PlatformEvent`]) move it; without them it is
 /// constant and the invariants reduce to the historical
 /// `free + Σ running.procs == spec.procs`.
+///
+/// Only this file writes the queue, running set, free count, capacity,
+/// drain flag and sort flag: each edit is one method that also bumps the
+/// mutation stamp, so the router's plan cache can never miss a change.
 #[derive(Debug, Clone)]
 pub struct Partition {
     pub(crate) spec: PartitionSpec,
@@ -68,7 +72,8 @@ impl Partition {
     }
 
     /// Marks the partition's scheduling state as changed (see `version`).
-    pub(crate) fn touch(&mut self) {
+    /// Only this file's edit methods call it, so no edit can skip it.
+    fn touch(&mut self) {
         self.version = self.version.wrapping_add(1);
     }
 
@@ -182,8 +187,9 @@ impl Partition {
         }
     }
 
-    /// Merges an arriving job into the queue, preserving the policy order
-    /// without a full re-sort when the policy is time-independent (see
+    /// Merges a job (reference durations, stored scaled to this partition's
+    /// speed) into the queue, preserving the policy order without a full
+    /// re-sort when the policy is time-independent (see
     /// `Policy::time_dependent`): the queue is already sorted by the total
     /// order `(score, submit, id)` and scores cannot drift with time, so a
     /// binary-search insert lands the job exactly where a full re-sort
@@ -194,22 +200,98 @@ impl Partition {
     /// path (the caller's planner needs to know where positional
     /// alignment changed).
     pub(crate) fn enqueue(&mut self, job: Job, policy: Policy, now: f64) -> Option<usize> {
+        debug_assert!(
+            job.procs <= self.capacity,
+            "job {} overflows {}",
+            job.id,
+            self.spec.name
+        );
+        let job = self.scale_job(job);
         self.touch();
         if policy.time_dependent() || self.needs_sort {
             self.queue.push(job);
             self.needs_sort = true;
             return None;
         }
-        let pos = self.queue.partition_point(|q| {
-            policy
-                .score(q, now)
-                .total_cmp(&policy.score(&job, now))
-                .then(q.submit.total_cmp(&job.submit))
-                .then(q.id.cmp(&job.id))
-                .is_lt()
-        });
+        let pos = self
+            .queue
+            .partition_point(|q| policy.order(q, &job, now).is_lt());
         self.queue.insert(pos, job);
         Some(pos)
+    }
+
+    /// Removes the queued job at `pos` (a migration or a displacement) and
+    /// returns it in reference durations.
+    pub(crate) fn dequeue(&mut self, pos: usize) -> Job {
+        self.touch();
+        let job = self.queue.remove(pos);
+        self.unscale_job(job)
+    }
+
+    /// Starts the queued job at `pos` at time `now`: it leaves the queue,
+    /// claims its processors and joins the running set.
+    pub(crate) fn start(&mut self, pos: usize, now: f64) -> Job {
+        let job = self.queue.remove(pos);
+        debug_assert!(job.procs <= self.free, "start overcommits the partition");
+        self.free -= job.procs;
+        self.running.push(RunningJob { job, start: now });
+        self.touch();
+        job
+    }
+
+    /// Releases the running job at index `i` (a completion or a kill): its
+    /// processors return to the free pool.
+    pub(crate) fn release(&mut self, i: usize) -> RunningJob {
+        let r = self.running.swap_remove(i);
+        self.free += r.job.procs;
+        debug_assert!(self.free <= self.capacity, "released more than claimed");
+        self.touch();
+        r
+    }
+
+    /// Moves the live capacity and the free pool together by `delta`
+    /// processors (a shrink needs `free >= -delta`; zero changes nothing).
+    /// Every delta is a difference of `u32` processor counts.
+    pub(crate) fn resize(&mut self, delta: i64) {
+        let procs = delta.unsigned_abs() as u32;
+        if delta > 0 {
+            self.capacity += procs;
+            self.free += procs;
+        } else if delta < 0 {
+            self.free -= procs;
+            self.capacity -= procs;
+        } else {
+            return;
+        }
+        self.touch();
+    }
+
+    /// Starts or ends a maintenance drain (a no-op when already so).
+    pub(crate) fn set_draining(&mut self, draining: bool) {
+        if self.draining != draining {
+            self.draining = draining;
+            self.touch();
+        }
+    }
+
+    /// Re-sorts the queue into `policy` order at `now` if it may be stale;
+    /// returns whether it sorted (the planner's queue alignment is gone).
+    pub(crate) fn sort_if_stale(&mut self, policy: Policy, now: f64) -> bool {
+        if !self.needs_sort {
+            return false;
+        }
+        policy.sort_queue(&mut self.queue, now);
+        self.needs_sort = false;
+        self.touch();
+        true
+    }
+
+    /// The clock moved: re-arm the opportunity and, when `reorder` (a
+    /// time-dependent policy's scores moved), mark the order stale. Queue
+    /// contents, running set and free count are unchanged: no stamp bump.
+    pub(crate) fn clock_moved(&mut self, reorder: bool) {
+        self.needs_sort |= reorder;
+        self.opportunity_armed = true;
     }
 }
 
@@ -293,6 +375,52 @@ mod tests {
         p.enqueue(job(1, 0.0, 1, 10.0), Policy::Sjf, 0.0);
         assert!(p.needs_sort);
         assert_eq!(p.queue().len(), 1);
+    }
+
+    #[test]
+    fn every_edit_bumps_the_stamp_and_conserves_processors() {
+        fn edit<T>(p: &mut Partition, what: &str, f: impl FnOnce(&mut Partition) -> T) -> T {
+            let before = p.version();
+            let out = f(p);
+            assert_ne!(p.version(), before, "{what} must bump the stamp");
+            let busy: u32 = p.running().iter().map(|r| r.job.procs).sum();
+            assert_eq!(p.free() + busy, p.capacity(), "{what} broke conservation");
+            out
+        }
+        // A double-speed partition: queued copies are stored at half the
+        // durations and leave again in reference durations.
+        let mut p = part(8, 2.0);
+        for (id, t, procs) in [(0, 0.0, 4), (1, 5.0, 2), (2, 9.0, 6)] {
+            edit(&mut p, "enqueue", |p| {
+                p.enqueue(job(id, t, procs, 10.0), Policy::Wfp3, t)
+            });
+        }
+        assert_eq!(p.queue()[0].runtime, 5.0);
+        let sorted = edit(&mut p, "sort_if_stale", |p| {
+            p.sort_if_stale(Policy::Wfp3, 20.0)
+        });
+        assert!(sorted);
+        let started = edit(&mut p, "start", |p| p.start(0, 20.0));
+        assert_eq!((started.id, p.free()), (0, 4));
+        let dequeued = edit(&mut p, "dequeue", |p| p.dequeue(1));
+        assert_eq!(dequeued, job(1, 5.0, 2, 10.0));
+        edit(&mut p, "resize +", |p| p.resize(4));
+        edit(&mut p, "resize -", |p| p.resize(-6));
+        assert_eq!((p.capacity(), p.free()), (6, 2));
+        edit(&mut p, "set_draining", |p| p.set_draining(true));
+        assert!(!p.admits(1));
+        edit(&mut p, "set_draining", |p| p.set_draining(false));
+        let released = edit(&mut p, "release", |p| p.release(0));
+        assert_eq!((released.job.id, released.start), (0, 20.0));
+        assert_eq!(p.free(), p.capacity());
+        // The no-op forms and the clock mark leave the stamp alone.
+        let stamp = p.version();
+        assert!(!p.sort_if_stale(Policy::Wfp3, 30.0));
+        p.set_draining(false);
+        p.resize(0);
+        p.clock_moved(true);
+        assert_eq!(p.version(), stamp);
+        assert!(p.needs_sort && p.opportunity_armed);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::observe::{ProfileStats, RouterStats};
 use crate::policy::Policy;
 use crate::profile::AvailabilityProfile;
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell}; // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability; the parallel split moves to per-worker caches
+use std::cell::{Cell, RefCell}; // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability: routers receive `&ClusterView`, so the shared cache updates through a shared reference
 use swf::Job;
 
 /// When (if ever) the meta-scheduler revisits a waiting job's partition.
@@ -105,11 +105,11 @@ pub struct ClusterView<'a> {
 /// through [`ClusterView::plans`].
 #[derive(Debug, Clone, Default)]
 pub struct RouterPlanCache {
-    parts: RefCell<Vec<PartRouterPlan>>, // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability; the parallel split moves to per-worker caches
+    parts: RefCell<Vec<PartRouterPlan>>, // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability: routers receive `&ClusterView`, so the shared cache updates through a shared reference
     /// Passive reuse/rebuild counters (see [`crate::observe`]); only the
     /// shared-plan path increments them, so debug builds (whose oracle
     /// calls the scratch path directly) count the same as release.
-    stats: Cell<RouterStats>, // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability; the parallel split moves to per-worker caches
+    stats: Cell<RouterStats>, // simlint: allow(sync-audit) — single-threaded plan-cache interior mutability: routers receive `&ClusterView`, so the shared cache updates through a shared reference
 }
 
 impl RouterPlanCache {
@@ -407,14 +407,9 @@ impl EarliestStart {
         // compare equal when the scores match bitwise) is naturally
         // excluded from the strict-less count unless rescaling drift
         // skewed the stored score lower — the fallback corner.
-        let rank = entry.sorted.partition_point(|q| {
-            view.policy
-                .score(q, view.now)
-                .total_cmp(&view.policy.score(&scaled, view.now))
-                .then(q.submit.total_cmp(&scaled.submit))
-                .then(q.id.cmp(&scaled.id))
-                .is_lt()
-        });
+        let rank = entry
+            .sorted
+            .partition_point(|q| view.policy.order(q, &scaled, view.now).is_lt());
         // At reference speed the stored copy is bitwise the candidate, so
         // it compares equal and lands exactly at `rank` — no scan needed.
         // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
@@ -445,14 +440,7 @@ impl EarliestStart {
             .copied()
             .collect(); // simlint: allow(hot-alloc) — from-scratch fallback; runs only when no RouterPlanCache is shared
         view.policy.sort_queue(&mut queued, view.now);
-        let ahead = queued.partition_point(|q| {
-            view.policy
-                .score(q, view.now)
-                .total_cmp(&view.policy.score(&scaled, view.now))
-                .then(q.submit.total_cmp(&scaled.submit))
-                .then(q.id.cmp(&scaled.id))
-                .is_lt()
-        });
+        let ahead = queued.partition_point(|q| view.policy.order(q, &scaled, view.now).is_lt());
         // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
         for q in &queued[..ahead] {
             let est = self.estimator.estimate(q);
@@ -461,6 +449,24 @@ impl EarliestStart {
         }
         let est = self.estimator.estimate(&scaled);
         prof.earliest_fit(scaled.procs, est, view.now)
+    }
+
+    /// The partition among `parts` with the earliest estimated start for
+    /// `job` (ties to the faster, then the earlier one), with that start.
+    /// Each estimate is computed once and the pairs stream: no allocation.
+    fn earliest(
+        &self,
+        job: &Job,
+        view: &ClusterView<'_>,
+        parts: impl Iterator<Item = usize>,
+    ) -> Option<(usize, f64)> {
+        parts
+            .map(|i| (i, self.estimated_start(job, view, i)))
+            .min_by(|&(a, sa), &(b, sb)| {
+                sa.total_cmp(&sb)
+                    .then(view.parts[b].speed().total_cmp(&view.parts[a].speed())) // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
+                    .then(a.cmp(&b))
+            })
     }
 
     /// The best strictly-earlier partition for a job currently queued on
@@ -476,15 +482,8 @@ impl EarliestStart {
         from: usize,
     ) -> Option<RerouteDecision> {
         let stay = self.estimated_start(job, view, from);
-        let (to, start) = view
-            .fitting(job)
-            .filter(|&i| i != from)
-            .map(|i| (i, self.estimated_start(job, view, i)))
-            .min_by(|&(a, sa), &(b, sb)| {
-                sa.total_cmp(&sb)
-                    .then(view.parts[b].speed().total_cmp(&view.parts[a].speed())) // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
-                    .then(a.cmp(&b))
-            })?;
+        let others = view.fitting(job).filter(|&i| i != from);
+        let (to, start) = self.earliest(job, view, others)?;
         (start < stay).then_some(RerouteDecision {
             to,
             gain: stay - start,
@@ -498,17 +497,7 @@ impl Router for EarliestStart {
     }
 
     fn route(&self, job: &Job, view: &ClusterView<'_>) -> usize {
-        // One estimate per partition, computed inside the map so `min_by`
-        // compares cached values — the profile construction is the
-        // expensive part of this hot path, and streaming the pairs keeps
-        // the pass allocation-free.
-        view.fitting(job)
-            .map(|i| (i, self.estimated_start(job, view, i)))
-            .min_by(|&(a, sa), &(b, sb)| {
-                sa.total_cmp(&sb)
-                    .then(view.parts[b].speed().total_cmp(&view.parts[a].speed())) // simlint: allow(panic-path) — indices are the walker's own cursors / fitting() results; in-bounds by construction
-                    .then(a.cmp(&b))
-            })
+        self.earliest(job, view, view.fitting(job))
             .map(|(i, _)| i)
             .expect("job fits no partition") // simlint: allow(panic-path) — router contract: submit admits only jobs that fit at least one partition
     }

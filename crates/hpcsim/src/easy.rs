@@ -66,13 +66,7 @@ pub fn easy_pass_with_order<S: BackfillSim>(
                 let est_end = now + estimator.estimate(j);
                 est_end <= shadow || j.procs <= extra
             })
-            .min_by(|(_, a), (_, b)| {
-                order
-                    .score(a, now)
-                    .total_cmp(&order.score(b, now))
-                    .then(a.submit.total_cmp(&b.submit))
-                    .then(a.id.cmp(&b.id))
-            })
+            .min_by(|(_, a), (_, b)| order.order(a, b, now))
             .map(|(i, j)| (i, *j));
         let Some((idx, job)) = pick else { break };
         let uses_extra = now + estimator.estimate(&job) > shadow;

@@ -17,6 +17,7 @@
 //! bounded slowdown.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use swf::Job;
 
 /// A base scheduling policy (Table 3 of the paper).
@@ -56,16 +57,20 @@ impl Policy {
         }
     }
 
-    /// Sorts a queue in place so the highest-priority job comes first.
-    /// Ties are broken by submission order (then id) to keep the schedule
-    /// deterministic.
+    /// The queue's total order at time `now`: by score, ties broken by
+    /// submission time, then id, so the schedule is deterministic.
+    /// `Less` means `a` runs first.
+    pub(crate) fn order(&self, a: &Job, b: &Job, now: f64) -> Ordering {
+        self.score(a, now)
+            .total_cmp(&self.score(b, now))
+            .then(a.submit.total_cmp(&b.submit))
+            .then(a.id.cmp(&b.id))
+    }
+
+    /// Sorts a queue in place so the highest-priority job comes first
+    /// (the `(score, submit, id)` order).
     pub fn sort_queue(&self, queue: &mut [Job], now: f64) {
-        queue.sort_by(|a, b| {
-            self.score(a, now)
-                .total_cmp(&self.score(b, now))
-                .then(a.submit.total_cmp(&b.submit))
-                .then(a.id.cmp(&b.id))
-        });
+        queue.sort_by(|a, b| self.order(a, b, now));
     }
 
     /// Whether the score of a fixed job can change as time advances.

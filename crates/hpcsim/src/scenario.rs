@@ -160,14 +160,20 @@ impl Platform {
     }
 
     /// The concrete (cluster, router) pair for a given trace: the explicit
-    /// shape when present, otherwise the trace's homogeneous machine.
+    /// shape under the spec's router when present, otherwise the trace's
+    /// homogeneous machine under affinity routing. One partition makes
+    /// every router's choice and the reroute policy inert, so the flat
+    /// machine skips the spec router's estimates (bitwise the flat engine,
+    /// pinned by the equivalence suite).
     // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
     pub fn realize(&self, trace: &Trace) -> (ClusterSpec, Arc<dyn Router>) {
-        let cluster = self
-            .cluster
-            .clone()
-            .unwrap_or_else(|| ClusterSpec::homogeneous(trace.cluster_procs()));
-        (cluster, self.router.build())
+        match &self.cluster {
+            Some(cluster) => (cluster.clone(), self.router.build()),
+            None => (
+                ClusterSpec::homogeneous(trace.cluster_procs()),
+                RouterSpec::Affinity.build(),
+            ),
+        }
     }
 
     /// Short label: `"flat"`, or `"<parts>p/<router>"`, with `"+mig"`
@@ -818,37 +824,23 @@ fn heuristic(spec: &ScenarioSpec) -> Result<Backfill, ScenarioError> {
 }
 
 /// Executes one trace (or window) on the kernel with `probe` threaded
-/// through — the one run path every heuristic scenario takes. The
-/// platform resolves to the spec's explicit cluster, router and reroute
-/// policy, or for flat specs to the degenerate homogeneous cluster under
-/// at-submission affinity routing (bitwise the flat machine, pinned by the
-/// equivalence suite). The spec's platform events are installed first; an
-/// empty event spec installs nothing.
+/// through — the one run path every heuristic scenario takes, on the
+/// machine [`Platform::realize`] resolves. The spec's platform events are
+/// installed first; an empty event spec installs nothing.
 fn run_once<P: Probe>(
     trace: &Trace,
     spec: &ScenarioSpec,
     backfill: Backfill,
     probe: P,
 ) -> Result<(ScheduleResult, P), ScenarioError> {
-    let homogeneous;
-    let (cluster, router, reroute) = match &spec.platform.cluster {
-        Some(cluster) => (cluster, spec.platform.router.build(), spec.platform.reroute),
-        None => {
-            homogeneous = ClusterSpec::homogeneous(trace.cluster_procs());
-            (
-                &homogeneous,
-                RouterSpec::Affinity.build(),
-                ReroutePolicy::AtSubmission,
-            )
-        }
-    };
+    let (cluster, router) = spec.platform.realize(trace);
     run_scheduler_probed(
         trace,
         spec.policy,
         backfill,
-        cluster,
+        &cluster,
         router,
-        reroute,
+        spec.platform.reroute,
         &spec.events,
         probe,
     )

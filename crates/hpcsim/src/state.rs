@@ -303,7 +303,7 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
     }
 
     fn shadow_extra(&mut self, estimator: RuntimeEstimator) -> Option<(f64, u32)> {
-        let reserved = *self.parts[self.active].queue.first()?; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        let reserved = *self.queue().first()?;
         Some(
             self.planner
                 .shadow_extra(&self.parts, self.active, estimator, self.now, &reserved),
@@ -328,9 +328,7 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
 
     fn audit_backfill_skip(&mut self, queue_idx: usize, reason: SkipReason) {
         if P::ENABLED {
-            // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            if let Some(job) = self.parts[self.active].queue.get(queue_idx) {
-                let id = job.id;
+            if let Some(id) = self.queue().get(queue_idx).map(|j| j.id) {
                 self.probe
                     .on_backfill_skipped(self.now, self.active, id, reason);
             }
@@ -734,13 +732,10 @@ impl<P: Probe> ProbedSimulation<P> {
                 "time must not go backwards: {} -> {next}",
                 self.now
             );
-            let advanced = next.as_secs() > self.now;
+            let reorder = next.as_secs() > self.now && self.policy.time_dependent();
             self.now = next.as_secs().max(self.now);
             for part in &mut self.parts {
-                if advanced && self.policy.time_dependent() {
-                    part.needs_sort = true;
-                }
-                part.opportunity_armed = true;
+                part.clock_moved(reorder);
             }
         }
     }
@@ -767,62 +762,34 @@ impl<P: Probe> ProbedSimulation<P> {
     /// knows the truth even though schedulers only see estimates).
     pub fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
         // The reservation mark applies to this call only, error or not.
-        let next_reservation = std::mem::take(&mut self.audit_next_reservation);
-        let part = &self.parts[self.active]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        if queue_idx >= part.queue.len() {
-            if P::ENABLED {
-                self.probe.on_backfill(false);
-            }
-            return Err(BackfillError::BadIndex);
-        }
-        if queue_idx == 0 {
-            if P::ENABLED {
-                self.probe.on_backfill(false);
-            }
-            return Err(BackfillError::ReservedJob);
-        }
-        let job = part.queue[queue_idx]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        if job.procs > part.free {
-            if P::ENABLED {
-                self.probe.on_backfill(false);
-            }
-            return Err(BackfillError::DoesNotFit);
-        }
-        let delays_reserved = self.would_delay_reserved(&job);
-        if P::ENABLED {
-            self.probe.on_backfill(true);
-            if delays_reserved {
-                self.probe.on_backfill_would_delay();
-            }
-        }
-        let p = self.active;
-        self.parts[p].queue.remove(queue_idx); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        self.parts[p].touch(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        self.planner.on_start(p, queue_idx, &job, self.now);
-        if P::ENABLED && self.probe.audit_on() {
-            let kind = if next_reservation {
-                StartKind::Reservation
-            } else {
-                StartKind::Backfill
-            };
-            self.probe.on_job_started(self.now, p, &job, kind);
-        }
-        self.start_job(p, job);
-        self.parts[p].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        Ok(BackfillOutcome { delays_reserved })
-    }
-
-    /// Whether starting `job` now would push back the reserved job's
-    /// earliest possible start under ground-truth runtimes — answered by
-    /// the planner's persistent actual-runtime profile (a trial usage is
-    /// applied and exactly retracted).
-    fn would_delay_reserved(&mut self, job: &Job) -> bool {
-        // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        let Some(&reserved) = self.parts[self.active].queue.first() else {
-            return false;
+        let kind = if std::mem::take(&mut self.audit_next_reservation) {
+            StartKind::Reservation
+        } else {
+            StartKind::Backfill
         };
-        self.planner
-            .would_delay(&self.parts, self.active, job, reserved.procs, self.now)
+        let part = &self.parts[self.active]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        let job = match part.queue().get(queue_idx) {
+            None => Err(BackfillError::BadIndex),
+            Some(_) if queue_idx == 0 => Err(BackfillError::ReservedJob),
+            Some(j) if j.procs > part.free() => Err(BackfillError::DoesNotFit),
+            Some(&j) => Ok(j),
+        };
+        if P::ENABLED {
+            self.probe.on_backfill(job.is_ok());
+        }
+        let job = job?;
+        // The reserved head exists (`queue_idx` > 0 is in range); the
+        // planner answers from its persistent actual-runtime profile,
+        // applying a trial usage and retracting it exactly.
+        let reserved_procs = part.queue()[0].procs; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        let delays_reserved =
+            self.planner
+                .would_delay(&self.parts, self.active, &job, reserved_procs, self.now);
+        if P::ENABLED && delays_reserved {
+            self.probe.on_backfill_would_delay();
+        }
+        self.start_queued(self.active, queue_idx, kind);
+        Ok(BackfillOutcome { delays_reserved })
     }
 
     /// Pops and applies every event due at the current instant (within the
@@ -860,65 +827,9 @@ impl<P: Probe> ProbedSimulation<P> {
                             ClusterEvent::Arrival(idx + 1),
                         );
                     }
-                    // Static sanitation only filtered jobs wider than the
-                    // widest partition; under platform events a job can
-                    // also arrive into a machine whose *current* capacity
-                    // (or drain state) admits it nowhere. Route only what
-                    // fits now — the rest joins the dropped count.
-                    if !self.pevents.is_empty() {
-                        let view = ClusterView {
-                            now: self.now,
-                            policy: self.policy,
-                            parts: &self.parts,
-                            plans: Some(&self.router_cache),
-                        };
-                        if view.fitting(&job).next().is_none() {
-                            if P::ENABLED && self.probe.audit_on() {
-                                self.probe.on_job_dropped(&job);
-                            }
-                            self.dropped.push(job);
-                            continue;
-                        }
+                    if let Some(p) = self.route_or_drop(job) {
+                        self.enqueue_routed(p, job);
                     }
-                    let router = Arc::clone(&self.router); // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-                    let p = router.route(
-                        &job,
-                        &ClusterView {
-                            now: self.now,
-                            policy: self.policy,
-                            parts: &self.parts,
-                            plans: Some(&self.router_cache),
-                        },
-                    );
-                    debug_assert!(
-                        job.procs <= self.parts[p].capacity(), // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        "router sent a {}-proc job to partition {} ({} procs)",
-                        job.procs,
-                        p,
-                        self.parts[p].capacity() // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                    );
-                    if P::ENABLED && self.probe.audit_on() {
-                        // The routing evidence: the same estimated-start
-                        // geometry `EarliestStart` routes by, one estimate
-                        // per fitting partition (shared-cache reads are
-                        // schedule-neutral, so the realized schedule is
-                        // unchanged by collecting them).
-                        let est = crate::cluster::EarliestStart::default();
-                        let view = ClusterView {
-                            now: self.now,
-                            policy: self.policy,
-                            parts: &self.parts,
-                            plans: Some(&self.router_cache),
-                        };
-                        let cands: Vec<(usize, f64)> = view
-                            .fitting(&job)
-                            .map(|i| (i, est.estimated_start(&job, &view, i)))
-                            .collect(); // simlint: allow(hot-alloc) — audit-only routing candidates; gated on audit_on()
-                        self.probe.on_job_submitted(self.now, &job, p, &cands);
-                    }
-                    let scaled = self.parts[p].scale_job(job); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                    let pos = self.parts[p].enqueue(scaled, self.policy, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                    self.planner.on_enqueue(p, pos);
                 }
                 ClusterEvent::Completion {
                     part: p,
@@ -934,17 +845,12 @@ impl<P: Probe> ProbedSimulation<P> {
                         // the check costs one branch without them.)
                         continue;
                     }
-                    let part = &mut self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                    let pos = part
-                        .running
+                    let pos = self.parts[p] // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                        .running()
                         .iter()
                         .position(|r| r.job.id == job)
                         .expect("completion event for a job not running"); // simlint: allow(panic-path) — event-queue invariant: completions are scheduled only for running jobs
-                    let r = part.running.swap_remove(pos);
-                    part.free += r.job.procs;
-                    part.touch();
-                    debug_assert!(part.free <= part.capacity, "released more than claimed");
-                    self.planner.on_complete(p, &r, self.now);
+                    let r = self.release(p, pos);
                     if P::ENABLED && self.probe.audit_on() {
                         self.probe.on_job_completed(self.now, p, &r.job, r.start);
                     }
@@ -1006,69 +912,44 @@ impl<P: Probe> ProbedSimulation<P> {
         // Establish policy order everywhere first, so "queue index 0" is
         // the policy head (the same sort `start_ready_jobs` would apply at
         // this instant — doing it here changes nothing downstream).
-        for (p, part) in self.parts.iter_mut().enumerate() {
-            if part.needs_sort {
-                self.policy.sort_queue(&mut part.queue, self.now);
-                part.needs_sort = false;
-                part.touch();
-                self.planner.on_resort(p);
-            }
+        for p in 0..self.parts.len() {
+            self.sort_if_stale(p);
         }
         let mut frozen = std::mem::take(&mut self.frozen_scratch);
         frozen.clear();
         frozen.extend(self.parts.iter().map(Self::has_opportunity));
-        let router = Arc::clone(&self.router); // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-                                               // Drain evacuation: queued jobs on a draining partition can never
-                                               // start there, so they escape unconditionally — no gain threshold,
-                                               // no per-job move budget, head included. (Without platform events
-                                               // no partition drains and this loop is a no-op.)
+        // Drain evacuation: queued jobs on a draining partition can never
+        // start there, so they escape unconditionally — no gain threshold,
+        // no per-job move budget, head included. (Without platform events
+        // no partition drains and this loop is a no-op.)
         for p in 0..self.parts.len() {
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            if !self.parts[p].draining {
+            if !self.parts[p].draining() {
                 continue;
             }
             let mut pos = 0;
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            while pos < self.parts[p].queue.len() {
-                let stored = self.parts[p].queue[pos]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                let reference = self.parts[p].unscale_job(stored); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                let view = ClusterView {
-                    now: self.now,
-                    policy: self.policy,
-                    parts: &self.parts,
-                    plans: Some(&self.router_cache),
-                };
-                // `fitting` excludes every draining partition (including
-                // this one), so `route` lands on a live target when any
-                // admits the job; otherwise it stays put until the drain
-                // ends or capacity returns.
-                if view.fitting(&reference).next().is_none() {
-                    pos += 1;
-                    continue;
-                }
-                let to = router.route(&reference, &view);
-                // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                if frozen[to] || to == p {
-                    pos += 1;
-                    continue;
-                }
-                let job = self.parts[p].queue.remove(pos); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.parts[p].touch(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.planner.on_dequeue(p, pos);
-                let moved = self.parts[to].scale_job(self.parts[p].unscale_job(job)); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                let to_pos = self.parts[to].enqueue(moved, self.policy, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.planner.on_enqueue(to, to_pos);
-                self.parts[p].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.parts[to].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.migrations += 1;
-                if P::ENABLED {
-                    self.probe.on_migration_accepted();
-                    self.probe.on_drain_evacuated(self.now, job.id, p, to);
-                    if self.probe.audit_on() {
-                        self.probe.on_migrated(self.now, job.id, p, to, 0.0);
+            while pos < self.parts[p].queue().len() {
+                let reference = self.parts[p].unscale_job(self.parts[p].queue()[pos]); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                                                                                       // No draining partition (this one included) admits jobs, so
+                                                                                       // the job lands on a live target when any admits it;
+                                                                                       // otherwise it stays put until the drain ends or capacity
+                                                                                       // returns.
+                match self.route(&reference) {
+                    // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                    Some(to) if !frozen[to] && to != p => {
+                        let job = self.migrate(p, pos, to);
+                        if P::ENABLED {
+                            self.probe.on_migration_accepted();
+                            self.probe.on_drain_evacuated(self.now, job.id, p, to);
+                            if self.probe.audit_on() {
+                                self.probe.on_migrated(self.now, job.id, p, to, 0.0);
+                            }
+                        }
+                        // The vec shifted left — re-examine this position.
                     }
+                    _ => pos += 1,
                 }
-                // The vec shifted left — re-examine this position.
             }
         }
         for p in 0..self.parts.len() {
@@ -1078,8 +959,8 @@ impl<P: Probe> ProbedSimulation<P> {
             }
             let mut pos = 1;
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            while pos < self.parts[p].queue.len() {
-                let stored = self.parts[p].queue[pos]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+            while pos < self.parts[p].queue().len() {
+                let stored = self.parts[p].queue()[pos]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
                 if self.moves.get(&stored.id).copied().unwrap_or(0) >= max_moves_per_job {
                     pos += 1;
                     continue;
@@ -1087,13 +968,7 @@ impl<P: Probe> ProbedSimulation<P> {
                 // The router reasons in reference-hardware durations; the
                 // queued copy is scaled to its current partition.
                 let reference = self.parts[p].unscale_job(stored); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                let view = ClusterView {
-                    now: self.now,
-                    policy: self.policy,
-                    parts: &self.parts,
-                    plans: Some(&self.router_cache),
-                };
-                let decision = router.reroute(&reference, &view, p);
+                let decision = self.router.reroute(&reference, &self.view(), p);
                 if P::ENABLED {
                     self.probe.on_migration_candidate();
                     if decision.is_some() {
@@ -1103,25 +978,8 @@ impl<P: Probe> ProbedSimulation<P> {
                 match decision {
                     // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
                     Some(d) if d.gain >= min_gain_secs && !frozen[d.to] && d.to != p => {
-                        debug_assert!(
-                            reference.procs <= self.parts[d.to].capacity(), // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                            "router migrated a {}-proc job to partition {} ({} procs)",
-                            reference.procs,
-                            d.to,
-                            self.parts[d.to].capacity() // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        );
-                        let job = self.parts[p].queue.remove(pos); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        self.parts[p].touch(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        self.planner.on_dequeue(p, pos);
-                        let moved = self.parts[d.to].scale_job(self.parts[p].unscale_job(job)); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        let to_pos = self.parts[d.to].enqueue(moved, self.policy, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        self.planner.on_enqueue(d.to, to_pos);
-                        // Both queues changed: re-arm their opportunities
-                        // (state-change semantics, same as a job start).
-                        self.parts[p].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                        self.parts[d.to].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                        let job = self.migrate(p, pos, d.to);
                         *self.moves.entry(job.id).or_insert(0) += 1;
-                        self.migrations += 1;
                         if P::ENABLED {
                             self.probe.on_migration_accepted();
                             if self.probe.audit_on() {
@@ -1164,44 +1022,25 @@ impl<P: Probe> ProbedSimulation<P> {
         }
         match ev {
             PlatformEvent::NodeFail { part, procs, .. } => self.shrink_capacity(part, procs),
-            PlatformEvent::NodeRepair { part, procs, .. } => self.grow_capacity(part, procs),
-            PlatformEvent::DrainStart { part, .. } => {
-                let p = &mut self.parts[part]; // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
-                if !p.draining {
-                    p.draining = true;
-                    p.touch();
-                }
-            }
-            PlatformEvent::DrainEnd { part, .. } => {
-                let p = &mut self.parts[part]; // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
-                if p.draining {
-                    p.draining = false;
-                    p.touch();
-                }
-            }
+            PlatformEvent::NodeRepair { part, procs, .. } => self.resize(part, procs as i64),
+            PlatformEvent::DrainStart { part, .. } => self.parts[part].set_draining(true), // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
+            PlatformEvent::DrainEnd { part, .. } => self.parts[part].set_draining(false), // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
             PlatformEvent::Resize { part, procs, .. } => {
-                let cap = self.parts[part].capacity; // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
+                let cap = self.parts[part].capacity(); // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
                 if procs < cap {
                     self.shrink_capacity(part, cap - procs);
-                } else if procs > cap {
-                    self.grow_capacity(part, procs - cap);
+                } else {
+                    self.resize(part, procs as i64 - cap as i64);
                 }
             }
         }
     }
 
-    /// Returns `delta` processors to partition `p` (a repair or a growing
-    /// resize): capacity and the free pool grow together and the planner
-    /// shifts every baseline to match.
-    fn grow_capacity(&mut self, p: usize, delta: u32) {
-        if delta == 0 {
-            return;
-        }
-        let part = &mut self.parts[p]; // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
-        part.capacity += delta;
-        part.free += delta;
-        part.touch();
-        self.planner.on_capacity(p, delta as i64);
+    /// Moves `p`'s capacity and free pool by `delta` (a repair or growth
+    /// when positive); the planner shifts every baseline to match.
+    fn resize(&mut self, p: usize, delta: i64) {
+        self.parts[p].resize(delta); // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
+        self.planner.on_capacity(p, delta);
     }
 
     /// Removes `delta` processors from partition `p` (a failure or a
@@ -1213,30 +1052,27 @@ impl<P: Probe> ProbedSimulation<P> {
     /// jobs are rerouted through the live cluster view; jobs no partition
     /// admits any more take the existing dropped path.
     fn shrink_capacity(&mut self, p: usize, delta: u32) {
-        let take = delta.min(self.parts[p].capacity); // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
+        let take = delta.min(self.parts[p].capacity()); // simlint: allow(panic-path) — materialize() validated partition indices against parts.len()
         if take == 0 {
             return;
         }
+        let mut requeue: Vec<Job> = Vec::new(); // simlint: allow(hot-alloc) — platform-event path: runs per capacity event, not per job event
+
         // Phase 1: kill running jobs until the free pool covers the loss.
         // Each kill releases processors exactly like an early completion,
         // so the planner's baselines track `free` at every step.
-        let mut requeue: Vec<Job> = Vec::new(); // simlint: allow(hot-alloc) — platform-event path: runs per capacity event, not per job event
-                                                // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        while self.parts[p].free < take {
-            let part = &mut self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            let victim = part
-                .running
+        // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        while self.parts[p].free() < take {
+            let victim = self.parts[p] // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                .running()
                 .iter()
                 .enumerate()
                 .max_by(|(_, a), (_, b)| a.start.total_cmp(&b.start).then(a.job.id.cmp(&b.job.id)))
                 .map(|(i, _)| i)
                 .expect("capacity deficit with no running jobs"); // simlint: allow(panic-path) — invariant free + Σ running == capacity: a deficit implies a running job
-            let r = part.running.swap_remove(victim);
-            part.free += r.job.procs;
-            part.touch();
+            let r = self.release(p, victim);
             // The dead run's scheduled completion is now stale.
             *self.incarnations.entry(r.job.id).or_insert(0) += 1;
-            self.planner.on_complete(p, &r, self.now);
             let speed = self.parts[p].speed(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
             let elapsed = (self.now - r.start).max(0.0);
             let reference = self.parts[p].unscale_job(r.job); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
@@ -1268,27 +1104,18 @@ impl<P: Probe> ProbedSimulation<P> {
         // Phase 2: retract the capacity itself; the planner shifts every
         // baseline by the same delta (PR-5 exact removal, so the repaired
         // plan suffix sees the shrunken availability at every instant).
-        {
-            let part = &mut self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            part.free -= take;
-            part.capacity -= take;
-            part.touch();
-        }
-        self.planner.on_capacity(p, -(take as i64));
+        self.resize(p, -(take as i64));
         // Phase 3: displace queued jobs wider than the surviving capacity
         // — they could never start here again (until a repair, which may
         // never come), so they reroute now instead of deadlocking the
         // queue head.
-        let cap = self.parts[p].capacity; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        let cap = self.parts[p].capacity(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
         let mut pos = 0;
         // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        while pos < self.parts[p].queue.len() {
+        while pos < self.parts[p].queue().len() {
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            if self.parts[p].queue[pos].procs > cap {
-                let job = self.parts[p].queue.remove(pos); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.parts[p].touch(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.planner.on_dequeue(p, pos);
-                requeue.push(self.parts[p].unscale_job(job)); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+            if self.parts[p].queue()[pos].procs > cap {
+                requeue.push(self.dequeue(p, pos));
             } else {
                 pos += 1;
             }
@@ -1304,45 +1131,96 @@ impl<P: Probe> ProbedSimulation<P> {
     /// partition admits it any more — through the existing dropped path,
     /// so platform events never silently lose work.
     fn requeue_job(&mut self, job: Job) {
-        let admitted = self.parts.iter().any(|part| part.admits(job.procs));
-        if !admitted {
+        let Some(p) = self.route_or_drop(job) else {
+            return;
+        };
+        self.resubmits += 1;
+        if P::ENABLED {
+            self.probe.on_job_resubmitted(self.now, &job, p);
+        }
+        self.enqueue_routed(p, job);
+    }
+
+    /// The router's view of the live cluster, with the shared plan cache.
+    fn view(&self) -> ClusterView<'_> {
+        ClusterView {
+            now: self.now,
+            policy: self.policy,
+            parts: &self.parts,
+            plans: Some(&self.router_cache),
+        }
+    }
+
+    /// The router's pick for `job` (reference durations), or `None` when no
+    /// partition admits it. Only platform events (capacity, drains) can
+    /// cause that: static sanitation removed jobs wider than every partition.
+    fn route(&self, job: &Job) -> Option<usize> {
+        let admitted =
+            self.pevents.is_empty() || self.parts.iter().any(|part| part.admits(job.procs));
+        admitted.then(|| self.router.route(job, &self.view()))
+    }
+
+    /// [`Self::route`], dropping the job when no partition admits it.
+    fn route_or_drop(&mut self, job: Job) -> Option<usize> {
+        let p = self.route(&job);
+        if p.is_none() {
             if P::ENABLED && self.probe.audit_on() {
                 self.probe.on_job_dropped(&job);
             }
             self.dropped.push(job);
-            return;
         }
-        let router = Arc::clone(&self.router); // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
-        let p = router.route(
-            &job,
-            &ClusterView {
-                now: self.now,
-                policy: self.policy,
-                parts: &self.parts,
-                plans: Some(&self.router_cache),
-            },
-        );
-        self.resubmits += 1;
-        if P::ENABLED {
-            self.probe.on_job_resubmitted(self.now, &job, p);
-            if self.probe.audit_on() {
-                let est = crate::cluster::EarliestStart::default();
-                let view = ClusterView {
-                    now: self.now,
-                    policy: self.policy,
-                    parts: &self.parts,
-                    plans: Some(&self.router_cache),
-                };
-                let cands: Vec<(usize, f64)> = view
-                    .fitting(&job)
-                    .map(|i| (i, est.estimated_start(&job, &view, i)))
-                    .collect(); // simlint: allow(hot-alloc) — audit-only routing candidates; gated on audit_on()
-                self.probe.on_job_submitted(self.now, &job, p, &cands);
-            }
+        p
+    }
+
+    /// Queues a routed job (reference durations) on partition `p`. An audit
+    /// first records the routing evidence: `EarliestStart`'s estimate on each
+    /// admitting partition (shared-cache reads do not change the schedule).
+    fn enqueue_routed(&mut self, p: usize, job: Job) {
+        if P::ENABLED && self.probe.audit_on() {
+            let est = crate::cluster::EarliestStart::default();
+            let view = self.view();
+            let cands: Vec<(usize, f64)> = view
+                .fitting(&job)
+                .map(|i| (i, est.estimated_start(&job, &view, i)))
+                .collect(); // simlint: allow(hot-alloc) — audit-only routing candidates; gated on audit_on()
+            self.probe.on_job_submitted(self.now, &job, p, &cands);
         }
-        let scaled = self.parts[p].scale_job(job); // simlint: allow(panic-path) — router contract: route() returns indices of admitting partitions
-        let pos = self.parts[p].enqueue(scaled, self.policy, self.now); // simlint: allow(panic-path) — router contract: route() returns indices of admitting partitions
+        let pos = self.parts[p].enqueue(job, self.policy, self.now); // simlint: allow(panic-path) — router contract: route() returns indices of admitting partitions
         self.planner.on_enqueue(p, pos);
+    }
+
+    /// Removes the queued job at `pos` of `p`, in reference durations.
+    fn dequeue(&mut self, p: usize, pos: usize) -> Job {
+        let job = self.parts[p].dequeue(pos); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.planner.on_dequeue(p, pos);
+        job
+    }
+
+    /// Releases the running job at index `i` of `p` (a completion or a kill).
+    fn release(&mut self, p: usize, i: usize) -> RunningJob {
+        let r = self.parts[p].release(i); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.planner.on_complete(p, &r, self.now);
+        r
+    }
+
+    /// Moves the queued job at `pos` of `from` to `to` and re-arms both
+    /// partitions (both queues changed). Returns it in reference durations.
+    fn migrate(&mut self, from: usize, pos: usize, to: usize) -> Job {
+        let job = self.dequeue(from, pos);
+        let to_pos = self.parts[to].enqueue(job, self.policy, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.planner.on_enqueue(to, to_pos);
+        self.parts[from].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.parts[to].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.migrations += 1;
+        job
+    }
+
+    /// Re-sorts partition `p`'s queue if its policy order may be stale.
+    fn sort_if_stale(&mut self, p: usize) {
+        // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        if self.parts[p].sort_if_stale(self.policy, self.now) {
+            self.planner.on_resort(p);
+        }
     }
 
     /// Starts policy-selected head jobs in every partition while they fit.
@@ -1352,45 +1230,29 @@ impl<P: Probe> ProbedSimulation<P> {
     /// changes between iterations at a fixed instant. The realized order is
     /// identical.
     fn start_ready_jobs(&mut self) {
+        let head_fits =
+            |part: &Partition| part.queue().first().is_some_and(|j| j.procs <= part.free());
         for p in 0..self.parts.len() {
-            let part = &mut self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-            if part.draining || part.queue.is_empty() {
+            let part = &self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+            if part.draining() || part.queue().is_empty() {
                 continue;
             }
-            if part.needs_sort {
-                self.policy.sort_queue(&mut part.queue, self.now);
-                part.needs_sort = false;
-                part.touch();
-                self.planner.on_resort(p);
-            }
-            while !self.parts[p].queue.is_empty() // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                && self.parts[p].queue[0].procs <= self.parts[p].free
-            {
-                let job = self.parts[p].queue.remove(0); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                self.planner.on_start(p, 0, &job, self.now);
-                if P::ENABLED && self.probe.audit_on() {
-                    self.probe
-                        .on_job_started(self.now, p, &job, StartKind::Head);
-                }
-                self.start_job(p, job);
-                self.parts[p].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+            self.sort_if_stale(p);
+            // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+            while head_fits(&self.parts[p]) {
+                self.start_queued(p, 0, StartKind::Head);
             }
         }
     }
 
-    fn start_job(&mut self, p: usize, job: Job) {
-        let part = &mut self.parts[p]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        debug_assert!(
-            job.procs <= part.free,
-            "start_job overcommits the partition"
-        );
-        part.free -= job.procs;
-        part.touch();
-        part.running.push(RunningJob {
-            job,
-            start: self.now,
-        });
+    /// Starts the queued job at `pos` of `p` now, schedules its completion
+    /// and re-arms the partition (its state changed).
+    fn start_queued(&mut self, p: usize, pos: usize, kind: StartKind) {
+        let job = self.parts[p].start(pos, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+        self.planner.on_start(p, pos, &job, self.now);
+        if P::ENABLED && self.probe.audit_on() {
+            self.probe.on_job_started(self.now, p, &job, kind);
+        }
         // The incarnation stamp only matters (and the map is only
         // populated) when platform events can kill this run.
         let generation = if self.pevents.is_empty() {
@@ -1406,6 +1268,7 @@ impl<P: Probe> ProbedSimulation<P> {
                 generation,
             },
         );
+        self.parts[p].opportunity_armed = true; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
     }
 
     /// The lowest-indexed partition with an armed backfilling opportunity:
