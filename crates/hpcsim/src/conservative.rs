@@ -14,6 +14,7 @@
 //! start is *now* are started.
 
 use crate::estimator::RuntimeEstimator;
+use crate::observe::audit::SkipReason;
 use crate::observe::Phase;
 use crate::state::BackfillSim;
 
@@ -33,39 +34,18 @@ pub fn conservative_pass<S: BackfillSim>(sim: &mut S, estimator: RuntimeEstimato
     for pos in starts {
         let idx = pos - started;
         debug_assert!(idx > 0, "the reserved head is never in the start set");
-        if sim.audit_enabled() {
-            // A conservative start honours the job's planned reservation
-            // slot; label it so the audit log distinguishes it from an
-            // opportunistic EASY-style backfill.
-            sim.audit_mark_reservation_start();
-        }
+        // A conservative start honours the job's planned reservation
+        // slot; label it so the audit log distinguishes it from an
+        // opportunistic EASY-style backfill.
+        sim.audit_mark_reservation_start();
         if sim.backfill(idx).is_ok() {
             started += 1;
         }
     }
-    // Forensics: classify the jobs the plan left queued. Under conservative
-    // semantics a queued job either lacks processors right now or its start
-    // would push back an earlier reservation.
-    if sim.audit_enabled() {
-        let free = sim.free_procs();
-        let skips: Vec<(usize, crate::observe::audit::SkipReason)> = sim
-            .queue()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, j)| {
-                let reason = if j.procs > free {
-                    crate::observe::audit::SkipReason::InsufficientProcs
-                } else {
-                    crate::observe::audit::SkipReason::WouldDelayReserved
-                };
-                (i, reason)
-            })
-            .collect(); // simlint: allow(hot-alloc) — audit-only skip labels; the collect runs only when audit_enabled()
-        for (idx, reason) in skips {
-            sim.audit_backfill_skip(idx, reason);
-        }
-    }
+    // Forensics: under conservative semantics a job the plan left queued
+    // either lacks processors right now or would push back an earlier
+    // reservation.
+    sim.audit_skips(SkipReason::WouldDelayReserved);
     sim.phase_end(Phase::BackfillScan);
     started
 }

@@ -16,6 +16,7 @@
 //! covered by `reservation_moves_left_as_estimate_tightens` below.
 
 use crate::estimator::RuntimeEstimator;
+use crate::observe::audit::SkipReason;
 use crate::policy::Policy;
 use crate::state::BackfillSim;
 
@@ -77,31 +78,10 @@ pub fn easy_pass_with_order<S: BackfillSim>(
         }
         backfilled += 1;
     }
-    // Forensics: once no candidate fits, classify why each remaining job
-    // was skipped this pass. Only runs under an auditing probe.
-    if sim.audit_enabled() {
-        let free = sim.free_procs();
-        let skips: Vec<(usize, crate::observe::audit::SkipReason)> = sim
-            .queue()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, j)| {
-                let reason = if j.procs > free {
-                    crate::observe::audit::SkipReason::InsufficientProcs
-                } else {
-                    // Fits the free procs but would end after the shadow
-                    // while exceeding the extra — it would delay the
-                    // reserved job's shadow start.
-                    crate::observe::audit::SkipReason::ShadowViolation
-                };
-                (i, reason)
-            })
-            .collect(); // simlint: allow(hot-alloc) — audit-only skip labels; the collect runs only when audit_enabled()
-        for (idx, reason) in skips {
-            sim.audit_backfill_skip(idx, reason);
-        }
-    }
+    // Forensics: once no candidate fits, a job that fits the free
+    // processors was passed over because it would end after the shadow
+    // while exceeding the extra — it would delay the reserved job.
+    sim.audit_skips(SkipReason::ShadowViolation);
     sim.phase_end(crate::observe::Phase::BackfillScan);
     backfilled
 }

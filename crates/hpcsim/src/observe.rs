@@ -27,22 +27,22 @@
 //! always on (a handful of integer adds on already-expensive paths) and
 //! harvested into the probe once, when the simulation completes. The
 //! planner's suffix repairs are not passive stats: each conservative pass
-//! reports its repair through [`Probe::on_plan_repaired`], the one ledger
+//! reports its repair as an [`AuditRecord::PlanRepaired`], the one ledger
 //! both [`Telemetry::plan_repairs`] and the audit log are built from.
 //!
 //! The [`audit`] submodule builds the third output on the same trait: a
-//! typed, wall-clock-free per-job decision log ([`audit::AuditLog`])
-//! recorded by [`audit::AuditProbe`] through the lifecycle hooks below
-//! (`on_job_submitted` … `on_job_completed`). Like the counters, the
-//! lifecycle hooks default to empty `#[inline]` bodies, so the
+//! typed, wall-clock-free per-job decision log ([`audit::AuditLog`]).
+//! The engine hands every decision to the probe as one [`AuditRecord`]
+//! through [`Probe::record`]; [`audit::AuditProbe`] stores them and
+//! [`Recorder`] counts the few that feed [`Telemetry`]. Like the
+//! counters, `record` defaults to an empty `#[inline]` body, so the
 //! `NoopProbe` simulation still monomorphizes to the pre-probe code.
 
 pub mod audit;
 
 use crate::cluster::Partition;
-use audit::{SkipReason, StartKind};
+use audit::AuditRecord;
 use std::time::Instant;
-use swf::Job;
 
 /// A phase of one decision-point iteration, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -295,36 +295,12 @@ pub trait Probe: std::fmt::Debug + Clone {
         false
     }
 
-    /// A job was routed and enqueued at submission. `candidates` holds the
-    /// router's estimated start per fitting partition (empty when the
-    /// probe is not auditing); `chosen` is the partition it joined.
+    /// One scheduling decision, built by the engine where it made it.
+    /// Plan repairs, platform events, kills and resubmissions arrive under
+    /// `ENABLED` alone, because [`Recorder`] counts them; every other
+    /// record only when [`Probe::audit_on`] is true.
     #[inline]
-    fn on_job_submitted(&mut self, _t: f64, _job: &Job, _chosen: usize, _cands: &[(usize, f64)]) {}
-
-    /// A job fit no partition and was set aside before the run.
-    #[inline]
-    fn on_job_dropped(&mut self, _job: &Job) {}
-
-    /// A queued job was passed over by a backfill scan for `reason`.
-    #[inline]
-    fn on_backfill_skipped(&mut self, _t: f64, _part: usize, _job_id: usize, _reason: SkipReason) {}
-
-    /// A conservative pass repaired `entries` reservation-plan entries,
-    /// attributed to the dominant invalidation `cause`.
-    #[inline]
-    fn on_plan_repaired(&mut self, _t: f64, _part: usize, _cause: RepairCause, _entries: usize) {}
-
-    /// A queued job migrated between partitions with estimated `gain`.
-    #[inline]
-    fn on_migrated(&mut self, _t: f64, _job_id: usize, _from: usize, _to: usize, _gain: f64) {}
-
-    /// A job left the queue and began executing.
-    #[inline]
-    fn on_job_started(&mut self, _t: f64, _part: usize, _job: &Job, _kind: StartKind) {}
-
-    /// A running job released its processors.
-    #[inline]
-    fn on_job_completed(&mut self, _t: f64, _part: usize, _job: &Job, _start: f64) {}
+    fn record(&mut self, _rec: AuditRecord) {}
 
     /// The event loop settled: all due events applied, ready jobs
     /// started. Audit probes reclassify waiting jobs here. Only called
@@ -332,22 +308,9 @@ pub trait Probe: std::fmt::Debug + Clone {
     #[inline]
     fn on_settle(&mut self, _now: f64, _parts: &[Partition]) {}
 
-    /// A platform event (node failure/repair, drain, resize) fired.
-    #[inline]
-    fn on_platform_event(&mut self, _t: f64, _event: &crate::platform::PlatformEvent) {}
-
-    /// A running job was killed by a capacity retraction; `wasted` is the
-    /// destroyed work in reference node-seconds.
-    #[inline]
-    fn on_job_killed(&mut self, _t: f64, _part: usize, _job: &Job, _wasted: f64) {}
-
-    /// A killed or displaced job re-entered a queue on partition `to`.
-    #[inline]
-    fn on_job_resubmitted(&mut self, _t: f64, _job: &Job, _to: usize) {}
-
     /// A queued job escaped a draining partition via the reroute pass.
     #[inline]
-    fn on_drain_evacuated(&mut self, _t: f64, _job_id: usize, _from: usize, _to: usize) {}
+    fn on_drain_evacuated(&mut self) {}
 
     /// End-of-run harvest of the summed persistent-profile stats.
     /// Idempotent set semantics: a later call replaces the value.
@@ -614,6 +577,31 @@ impl Recorder {
         ]);
         serde_json::to_string_pretty(&root).expect("trace serializes")
     }
+
+    /// Counts the records [`Telemetry`] tallies: plan repairs (cause rows
+    /// and `repair_len_hist`), platform events, kills and resubmissions.
+    /// Every other record leaves the counters alone.
+    fn count(&mut self, rec: &AuditRecord) {
+        let t = &mut self.telemetry;
+        match *rec {
+            AuditRecord::PlanRepaired { cause, entries, .. } => {
+                // `Recorder::new` builds one row per cause, in `index` order.
+                if let Some(row) = t.plan_repairs.get_mut(cause.index()) {
+                    row.count += 1;
+                    row.entries += entries as u64;
+                }
+                t.repair_len_hist.record(entries as u64);
+            }
+            AuditRecord::NodeFailed { .. }
+            | AuditRecord::NodeRepaired { .. }
+            | AuditRecord::DrainStarted { .. }
+            | AuditRecord::DrainEnded { .. }
+            | AuditRecord::Resized { .. } => t.platform_events += 1,
+            AuditRecord::Killed { .. } => t.platform_kills += 1,
+            AuditRecord::Resubmitted { .. } => t.platform_resubmits += 1,
+            _ => {}
+        }
+    }
 }
 
 use serde::Serialize as _;
@@ -660,32 +648,12 @@ impl Probe for Recorder {
     }
 
     #[inline]
-    fn on_plan_repaired(&mut self, _t: f64, _part: usize, cause: RepairCause, entries: usize) {
-        // `Recorder::new` builds one row per cause, in `index` order.
-        if let Some(row) = self.telemetry.plan_repairs.get_mut(cause.index()) {
-            row.count += 1;
-            row.entries += entries as u64;
-        }
-        self.telemetry.repair_len_hist.record(entries as u64);
+    fn record(&mut self, rec: AuditRecord) {
+        self.count(&rec);
     }
 
     #[inline]
-    fn on_platform_event(&mut self, _t: f64, _event: &crate::platform::PlatformEvent) {
-        self.telemetry.platform_events += 1;
-    }
-
-    #[inline]
-    fn on_job_killed(&mut self, _t: f64, _part: usize, _job: &Job, _wasted: f64) {
-        self.telemetry.platform_kills += 1;
-    }
-
-    #[inline]
-    fn on_job_resubmitted(&mut self, _t: f64, _job: &Job, _to: usize) {
-        self.telemetry.platform_resubmits += 1;
-    }
-
-    #[inline]
-    fn on_drain_evacuated(&mut self, _t: f64, _job_id: usize, _from: usize, _to: usize) {
+    fn on_drain_evacuated(&mut self) {
         self.telemetry.platform_drain_evacuations += 1;
     }
 
@@ -778,8 +746,17 @@ mod tests {
         rec.on_queue_depth(7);
         rec.on_backfill(true);
         rec.on_backfill(false);
-        rec.on_plan_repaired(1.0, 0, RepairCause::Arrival, 4);
-        rec.on_plan_repaired(2.0, 0, RepairCause::Resort, 9);
+        for (t, cause, entries) in [
+            (1.0, RepairCause::Arrival, 4),
+            (2.0, RepairCause::Resort, 9),
+        ] {
+            rec.record(AuditRecord::PlanRepaired {
+                t,
+                part: 0,
+                cause,
+                entries,
+            });
+        }
         rec.set_router_stats(RouterStats {
             candidate_evals: 10,
             plan_reuses: 8,

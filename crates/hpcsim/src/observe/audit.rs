@@ -1,12 +1,12 @@
 //! Decision forensics: a typed, per-job audit log of every scheduling
 //! decision, with wait-cause attribution.
 //!
-//! [`AuditProbe`] implements [`Probe`] and collects
-//! [`AuditRecord`]s through the lifecycle hooks the engine fires at each
-//! decision: submission (with the router's candidate estimates), backfill
-//! skips (with the reason a scan passed a job over), conservative plan
-//! repairs, migrations, starts (with their kind), and completions. The
-//! log is **deterministic and wall-clock-free** — a pure function of the
+//! [`AuditProbe`] implements [`Probe`] and stores the [`AuditRecord`]s the
+//! engine hands to [`Probe::record`] at each decision: submission (with
+//! the router's candidate estimates), backfill skips (with the reason a
+//! scan passed a job over), conservative plan repairs, migrations, starts
+//! (with their kind), completions, and platform events. The log is
+//! **deterministic and wall-clock-free** — a pure function of the
 //! realized schedule — so two logs of the same spec compare equal and the
 //! *first divergent record* pinpoints where two engine variants part ways.
 //!
@@ -32,10 +32,10 @@
 
 use super::{Phase, Probe, ProfileStats, Recorder, RepairCause, RouterStats, Telemetry};
 use crate::cluster::Partition;
+use crate::platform::PlatformEvent;
 use crate::timeline::window_timeline;
 use serde::Serialize as _;
 use std::collections::BTreeMap;
-use swf::Job;
 
 /// Why a backfill scan passed over a queued job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -285,6 +285,21 @@ pub enum AuditRecord {
 }
 
 impl AuditRecord {
+    /// The record of platform event `ev` firing at `t`.
+    pub(crate) fn platform(t: f64, ev: &PlatformEvent) -> Self {
+        match *ev {
+            PlatformEvent::NodeFail { part, procs, .. } => {
+                AuditRecord::NodeFailed { t, part, procs }
+            }
+            PlatformEvent::NodeRepair { part, procs, .. } => {
+                AuditRecord::NodeRepaired { t, part, procs }
+            }
+            PlatformEvent::DrainStart { part, .. } => AuditRecord::DrainStarted { t, part },
+            PlatformEvent::DrainEnd { part, .. } => AuditRecord::DrainEnded { t, part },
+            PlatformEvent::Resize { part, procs, .. } => AuditRecord::Resized { t, part, procs },
+        }
+    }
+
     /// Stable snake_case tag of the record kind.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -1000,143 +1015,66 @@ impl Probe for AuditProbe {
         self.recorder.set_router_stats(stats);
     }
 
-    fn on_job_submitted(&mut self, t: f64, job: &Job, chosen: usize, cands: &[(usize, f64)]) {
-        self.records.push(AuditRecord::Submitted {
-            t,
-            job: job.id,
-            part: chosen,
-            candidates: cands.to_vec(),
-        });
-        self.waiting.insert(
-            job.id,
-            WaitState {
-                // Anchored at the *enqueue* instant (== submit except for
-                // pathological unsorted traces), so the settle segments
-                // telescope to exactly `start - enqueue`.
-                submit: t,
-                marked_at: t,
-                // Placeholder until the first settle classifies the job —
-                // which happens at the submission instant, so the segment
-                // it could mislabel has zero length.
-                class: WaitCause::PolicyPosition,
-                components: [0.0; 4],
-            },
-        );
-    }
-
-    fn on_job_dropped(&mut self, job: &Job) {
-        self.records.push(AuditRecord::Dropped {
-            t: job.submit,
-            job: job.id,
-            procs: job.procs,
-        });
-        // A job displaced by a capacity shrink may have been waiting in a
-        // queue when it was dropped — its wait story ends here.
-        self.waiting.remove(&job.id);
-    }
-
-    fn on_backfill_skipped(&mut self, t: f64, part: usize, job_id: usize, reason: SkipReason) {
-        self.records.push(AuditRecord::BackfillSkipped {
-            t,
-            part,
-            job: job_id,
-            reason,
-        });
-        // A shadow rejection is positive evidence the job is length- not
-        // width-constrained: it overrides the queue-shape class until the
-        // next settle reclassifies.
-        if reason == SkipReason::ShadowViolation {
-            if let Some(st) = self.waiting.get_mut(&job_id) {
-                st.class = WaitCause::Shadow;
+    fn record(&mut self, rec: AuditRecord) {
+        self.recorder.count(&rec);
+        // The four records that move a job through the wait state machine.
+        match rec {
+            AuditRecord::Submitted { t, job, .. } => {
+                self.waiting.insert(
+                    job,
+                    WaitState {
+                        // Anchored at the *enqueue* instant (== submit except
+                        // for pathological unsorted traces), so the settle
+                        // segments telescope to exactly `start - enqueue`.
+                        submit: t,
+                        marked_at: t,
+                        // Placeholder until the first settle classifies the
+                        // job — which happens at the submission instant, so
+                        // the segment it could mislabel has zero length.
+                        class: WaitCause::PolicyPosition,
+                        components: [0.0; 4],
+                    },
+                );
             }
+            AuditRecord::Dropped { job, .. } => {
+                // A job displaced by a capacity shrink may have been waiting
+                // in a queue when it was dropped — its wait story ends here.
+                self.waiting.remove(&job);
+            }
+            AuditRecord::BackfillSkipped {
+                job,
+                reason: SkipReason::ShadowViolation,
+                ..
+            } => {
+                // A shadow rejection is positive evidence the job is length-
+                // not width-constrained: it overrides the queue-shape class
+                // until the next settle reclassifies.
+                if let Some(st) = self.waiting.get_mut(&job) {
+                    st.class = WaitCause::Shadow;
+                }
+            }
+            AuditRecord::Started { t, job, .. } => {
+                if let Some(mut st) = self.waiting.remove(&job) {
+                    st.components[st.class.index()] += t - st.marked_at;
+                    self.finished.insert(
+                        job,
+                        WaitBreakdown {
+                            job,
+                            wait: (t - st.submit).max(0.0),
+                            components: st.components,
+                        },
+                    );
+                }
+            }
+            _ => {}
         }
+        self.records.push(rec);
     }
 
-    fn on_plan_repaired(&mut self, t: f64, part: usize, cause: RepairCause, entries: usize) {
-        self.recorder.on_plan_repaired(t, part, cause, entries);
-        self.records.push(AuditRecord::PlanRepaired {
-            t,
-            part,
-            cause,
-            entries,
-        });
-    }
-
-    fn on_migrated(&mut self, t: f64, job_id: usize, from: usize, to: usize, gain: f64) {
-        self.records.push(AuditRecord::Migrated {
-            t,
-            job: job_id,
-            from,
-            to,
-            gain,
-        });
-    }
-
-    fn on_job_started(&mut self, t: f64, part: usize, job: &Job, kind: StartKind) {
-        self.records.push(AuditRecord::Started {
-            t,
-            part,
-            job: job.id,
-            kind,
-            procs: job.procs,
-            wait: (t - job.submit).max(0.0),
-        });
-        if let Some(mut st) = self.waiting.remove(&job.id) {
-            st.components[st.class.index()] += t - st.marked_at;
-            self.finished.insert(
-                job.id,
-                WaitBreakdown {
-                    job: job.id,
-                    wait: (t - st.submit).max(0.0),
-                    components: st.components,
-                },
-            );
-        }
-    }
-
-    fn on_job_completed(&mut self, t: f64, part: usize, job: &Job, _start: f64) {
-        self.records.push(AuditRecord::Completed {
-            t,
-            part,
-            job: job.id,
-        });
-    }
-
-    fn on_platform_event(&mut self, t: f64, event: &crate::platform::PlatformEvent) {
-        use crate::platform::PlatformEvent as Pe;
-        self.recorder.on_platform_event(t, event);
-        self.records.push(match *event {
-            Pe::NodeFail { part, procs, .. } => AuditRecord::NodeFailed { t, part, procs },
-            Pe::NodeRepair { part, procs, .. } => AuditRecord::NodeRepaired { t, part, procs },
-            Pe::DrainStart { part, .. } => AuditRecord::DrainStarted { t, part },
-            Pe::DrainEnd { part, .. } => AuditRecord::DrainEnded { t, part },
-            Pe::Resize { part, procs, .. } => AuditRecord::Resized { t, part, procs },
-        });
-    }
-
-    fn on_job_killed(&mut self, t: f64, part: usize, job: &Job, wasted: f64) {
-        self.recorder.on_job_killed(t, part, job, wasted);
-        self.records.push(AuditRecord::Killed {
-            t,
-            part,
-            job: job.id,
-            wasted,
-        });
-    }
-
-    fn on_job_resubmitted(&mut self, t: f64, job: &Job, to: usize) {
-        self.recorder.on_job_resubmitted(t, job, to);
-        self.records.push(AuditRecord::Resubmitted {
-            t,
-            job: job.id,
-            part: to,
-        });
-    }
-
-    fn on_drain_evacuated(&mut self, t: f64, job_id: usize, from: usize, to: usize) {
-        self.recorder.on_drain_evacuated(t, job_id, from, to);
-        // The paired on_migrated hook records the move itself; the counter
-        // is all the forensics this hook adds.
+    fn on_drain_evacuated(&mut self) {
+        // The engine's paired `Migrated` record logs the move itself; the
+        // counter is all this hook adds.
+        self.recorder.on_drain_evacuated();
     }
 
     fn on_settle(&mut self, now: f64, parts: &[Partition]) {
@@ -1286,12 +1224,28 @@ mod tests {
         // Drive the probe by hand: job 1 submits at t=0, settles once as
         // queue head (capacity), is shadow-skipped at t=4, starts at t=10.
         let mut probe = AuditProbe::new();
-        let job = Job::new(1, 0.0, 4, 100.0, 100.0);
-        probe.on_job_submitted(0.0, &job, 0, &[(0, 0.0)]);
+        probe.record(AuditRecord::Submitted {
+            t: 0.0,
+            job: 1,
+            part: 0,
+            candidates: vec![(0, 0.0)],
+        });
         // No partitions to scan: classes stay as set below.
         probe.on_settle(0.0, &[]);
-        probe.on_backfill_skipped(4.0, 0, 1, SkipReason::ShadowViolation);
-        probe.on_job_started(10.0, 0, &job, StartKind::Backfill);
+        probe.record(AuditRecord::BackfillSkipped {
+            t: 4.0,
+            part: 0,
+            job: 1,
+            reason: SkipReason::ShadowViolation,
+        });
+        probe.record(AuditRecord::Started {
+            t: 10.0,
+            part: 0,
+            job: 1,
+            kind: StartKind::Backfill,
+            procs: 4,
+            wait: 10.0,
+        });
         let (log, _tel) = probe.into_log_and_telemetry();
         let w = log.breakdown(1).unwrap();
         assert_eq!(w.wait, 10.0);
@@ -1304,8 +1258,11 @@ mod tests {
     #[test]
     fn dropped_jobs_get_exactly_one_record_and_no_breakdown() {
         let mut probe = AuditProbe::new();
-        let wide = Job::new(7, 3.0, 4096, 10.0, 10.0);
-        probe.on_job_dropped(&wide);
+        probe.record(AuditRecord::Dropped {
+            t: 3.0,
+            job: 7,
+            procs: 4096,
+        });
         let (log, _tel) = probe.into_log_and_telemetry();
         assert_eq!(log.records.len(), 1);
         assert_eq!(log.records[0].kind(), "dropped");

@@ -34,7 +34,7 @@ use crate::cluster::{
     ClusterSpec, ClusterView, Partition, ReroutePolicy, Router, RouterPlanCache, StaticAffinity,
 };
 use crate::estimator::RuntimeEstimator;
-use crate::observe::audit::{SkipReason, StartKind};
+use crate::observe::audit::{AuditRecord, SkipReason, StartKind};
 use crate::observe::{NoopProbe, Phase, Probe};
 use crate::plan::Planner;
 use crate::platform::{FailurePolicy, PlatformEvent, PlatformEventSpec};
@@ -222,16 +222,11 @@ pub trait BackfillSim {
     /// Marks the end of the phase opened by [`BackfillSim::phase_begin`].
     fn phase_end(&mut self, _phase: crate::observe::Phase) {}
 
-    /// Whether decision forensics are being collected — the EASY and
-    /// conservative passes only pay for their skip-reason scans when this
-    /// is true. Default (and [`NoopProbe`]): no.
-    fn audit_enabled(&self) -> bool {
-        false
-    }
-
-    /// Reports that the current backfill scan passed over the queued job
-    /// at `queue_idx` for `reason`. No-op without an auditing probe.
-    fn audit_backfill_skip(&mut self, _queue_idx: usize, _reason: SkipReason) {}
+    /// Records why the pass that just ended left each queued job after
+    /// the head waiting: [`SkipReason::InsufficientProcs`] when it is
+    /// wider than the free processors, else `fitting`, the pass's own
+    /// reason. No-op without an auditing probe.
+    fn audit_skips(&mut self, _fitting: SkipReason) {}
 
     /// Marks the next successful [`BackfillSim::backfill`] call as the
     /// start of a planned conservative reservation, so the audit log
@@ -296,7 +291,12 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
                 .conservative_starts(&self.parts, p, estimator, self.now);
         if P::ENABLED {
             if let Some((cause, entries)) = repair {
-                self.probe.on_plan_repaired(self.now, p, cause, entries);
+                self.probe.record(AuditRecord::PlanRepaired {
+                    t: self.now,
+                    part: p,
+                    cause,
+                    entries,
+                });
             }
         }
         starts
@@ -322,21 +322,32 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
         }
     }
 
-    fn audit_enabled(&self) -> bool {
-        P::ENABLED && self.probe.audit_on()
-    }
-
-    fn audit_backfill_skip(&mut self, queue_idx: usize, reason: SkipReason) {
-        if P::ENABLED {
-            if let Some(id) = self.queue().get(queue_idx).map(|j| j.id) {
-                self.probe
-                    .on_backfill_skipped(self.now, self.active, id, reason);
-            }
+    fn audit_skips(&mut self, fitting: SkipReason) {
+        if !(P::ENABLED && self.probe.audit_on()) {
+            return;
+        }
+        let Some(part) = self.parts.get(self.active) else {
+            return;
+        };
+        for j in part.queue().iter().skip(1) {
+            let reason = if j.procs > part.free() {
+                SkipReason::InsufficientProcs
+            } else {
+                fitting
+            };
+            self.probe.record(AuditRecord::BackfillSkipped {
+                t: self.now,
+                part: self.active,
+                job: j.id,
+                reason,
+            });
         }
     }
 
     fn audit_mark_reservation_start(&mut self) {
-        self.audit_next_reservation = true;
+        if P::ENABLED && self.probe.audit_on() {
+            self.audit_next_reservation = true;
+        }
     }
 }
 
@@ -550,9 +561,12 @@ impl<P: Probe> ProbedSimulation<P> {
             wasted_node_seconds: 0.0,
         };
         if P::ENABLED && sim.probe.audit_on() {
-            for i in 0..sim.dropped.len() {
-                let j = sim.dropped[i];
-                sim.probe.on_job_dropped(&j);
+            for j in &sim.dropped {
+                sim.probe.record(AuditRecord::Dropped {
+                    t: j.submit,
+                    job: j.id,
+                    procs: j.procs,
+                });
             }
         }
         sim
@@ -852,7 +866,11 @@ impl<P: Probe> ProbedSimulation<P> {
                         .expect("completion event for a job not running"); // simlint: allow(panic-path) — event-queue invariant: completions are scheduled only for running jobs
                     let r = self.release(p, pos);
                     if P::ENABLED && self.probe.audit_on() {
-                        self.probe.on_job_completed(self.now, p, &r.job, r.start);
+                        self.probe.record(AuditRecord::Completed {
+                            t: self.now,
+                            part: p,
+                            job: r.job.id,
+                        });
                     }
                     self.completed.push(CompletedJob {
                         job: r.job,
@@ -941,9 +959,15 @@ impl<P: Probe> ProbedSimulation<P> {
                         let job = self.migrate(p, pos, to);
                         if P::ENABLED {
                             self.probe.on_migration_accepted();
-                            self.probe.on_drain_evacuated(self.now, job.id, p, to);
+                            self.probe.on_drain_evacuated();
                             if self.probe.audit_on() {
-                                self.probe.on_migrated(self.now, job.id, p, to, 0.0);
+                                self.probe.record(AuditRecord::Migrated {
+                                    t: self.now,
+                                    job: job.id,
+                                    from: p,
+                                    to,
+                                    gain: 0.0,
+                                });
                             }
                         }
                         // The vec shifted left — re-examine this position.
@@ -983,7 +1007,13 @@ impl<P: Probe> ProbedSimulation<P> {
                         if P::ENABLED {
                             self.probe.on_migration_accepted();
                             if self.probe.audit_on() {
-                                self.probe.on_migrated(self.now, job.id, p, d.to, d.gain);
+                                self.probe.record(AuditRecord::Migrated {
+                                    t: self.now,
+                                    job: job.id,
+                                    from: p,
+                                    to: d.to,
+                                    gain: d.gain,
+                                });
                             }
                         }
                         // The vec shifted left — re-examine this position.
@@ -1018,7 +1048,7 @@ impl<P: Probe> ProbedSimulation<P> {
     fn apply_platform_event(&mut self, i: usize) {
         let ev = self.pevents[i]; // simlint: allow(panic-path) — platform events are scheduled from the materialized stream; index in-bounds by construction
         if P::ENABLED {
-            self.probe.on_platform_event(self.now, &ev);
+            self.probe.record(AuditRecord::platform(self.now, &ev));
         }
         match ev {
             PlatformEvent::NodeFail { part, procs, .. } => self.shrink_capacity(part, procs),
@@ -1097,7 +1127,12 @@ impl<P: Probe> ProbedSimulation<P> {
             self.kills += 1;
             self.wasted_node_seconds += wasted;
             if P::ENABLED {
-                self.probe.on_job_killed(self.now, p, &r.job, wasted);
+                self.probe.record(AuditRecord::Killed {
+                    t: self.now,
+                    part: p,
+                    job: r.job.id,
+                    wasted,
+                });
             }
             requeue.push(resubmitted);
         }
@@ -1136,7 +1171,11 @@ impl<P: Probe> ProbedSimulation<P> {
         };
         self.resubmits += 1;
         if P::ENABLED {
-            self.probe.on_job_resubmitted(self.now, &job, p);
+            self.probe.record(AuditRecord::Resubmitted {
+                t: self.now,
+                job: job.id,
+                part: p,
+            });
         }
         self.enqueue_routed(p, job);
     }
@@ -1165,7 +1204,11 @@ impl<P: Probe> ProbedSimulation<P> {
         let p = self.route(&job);
         if p.is_none() {
             if P::ENABLED && self.probe.audit_on() {
-                self.probe.on_job_dropped(&job);
+                self.probe.record(AuditRecord::Dropped {
+                    t: job.submit,
+                    job: job.id,
+                    procs: job.procs,
+                });
             }
             self.dropped.push(job);
         }
@@ -1174,16 +1217,26 @@ impl<P: Probe> ProbedSimulation<P> {
 
     /// Queues a routed job (reference durations) on partition `p`. An audit
     /// first records the routing evidence: `EarliestStart`'s estimate on each
-    /// admitting partition (shared-cache reads do not change the schedule).
+    /// admitting partition.
     fn enqueue_routed(&mut self, p: usize, job: Job) {
         if P::ENABLED && self.probe.audit_on() {
+            // Forensics must not do counted work: the estimates come from
+            // scratch, not through the shared plan cache, so an audited run
+            // leaves the router and profile counters where an unaudited run
+            // leaves them. The two paths are bitwise equal (debug-asserted).
             let est = crate::cluster::EarliestStart::default();
-            let view = self.view();
-            let cands: Vec<(usize, f64)> = view
+            let mut view = self.view();
+            view.plans = None;
+            let candidates = view
                 .fitting(&job)
                 .map(|i| (i, est.estimated_start(&job, &view, i)))
                 .collect(); // simlint: allow(hot-alloc) — audit-only routing candidates; gated on audit_on()
-            self.probe.on_job_submitted(self.now, &job, p, &cands);
+            self.probe.record(AuditRecord::Submitted {
+                t: self.now,
+                job: job.id,
+                part: p,
+                candidates,
+            });
         }
         let pos = self.parts[p].enqueue(job, self.policy, self.now); // simlint: allow(panic-path) — router contract: route() returns indices of admitting partitions
         self.planner.on_enqueue(p, pos);
@@ -1251,7 +1304,14 @@ impl<P: Probe> ProbedSimulation<P> {
         let job = self.parts[p].start(pos, self.now); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
         self.planner.on_start(p, pos, &job, self.now);
         if P::ENABLED && self.probe.audit_on() {
-            self.probe.on_job_started(self.now, p, &job, kind);
+            self.probe.record(AuditRecord::Started {
+                t: self.now,
+                part: p,
+                job: job.id,
+                kind,
+                procs: job.procs,
+                wait: (self.now - job.submit).max(0.0),
+            });
         }
         // The incarnation stamp only matters (and the map is only
         // populated) when platform events can kill this run.

@@ -3,7 +3,9 @@
 //! * its exported per-partition utilization curve is, on a one-partition
 //!   machine, exactly the schedule's [`utilization_timeline`];
 //! * its `PlanRepaired` records add up to the telemetry repair counters
-//!   (`plan_repairs`, `repair_len_hist`) of the same run.
+//!   (`plan_repairs`, `repair_len_hist`) of the same run;
+//! * auditing a run leaves its telemetry exactly as an unaudited run
+//!   leaves it.
 
 use hpcsim::observe::{Histogram, RepairRow, REPAIR_CAUSES};
 use hpcsim::prelude::*;
@@ -118,4 +120,58 @@ fn telemetry_repair_counters_are_the_audited_repairs() {
     assert!(fired >= 3, "only {fired} repair causes fired: {rows:?}");
     assert_eq!(telemetry.plan_repairs, rows);
     assert_eq!(telemetry.repair_len_hist, lengths);
+}
+
+/// A committed example spec, read from the workspace root.
+fn example_spec(name: &str) -> ScenarioSpec {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios")
+        .join(name);
+    ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+#[test]
+fn auditing_a_run_leaves_its_telemetry_unchanged() {
+    // Forensics must not do counted work: the audited run's counters,
+    // collected by the recorder inside `AuditProbe`, equal a plain
+    // `Recorder` run's field for field. Plan repairs and, in the failure
+    // demo, platform events, kills and resubmissions reach the counters
+    // only as records, so this also checks `AuditProbe` forwards them.
+    // The third run adds a drain of the express partition that evacuates
+    // queued jobs, which the demo's own drain never does.
+    for (name, extra_drain) in [
+        ("audit_demo.json", false),
+        ("failure_demo.json", false),
+        ("failure_demo.json", true),
+    ] {
+        let mut spec = example_spec(name);
+        spec.telemetry = true;
+        if extra_drain {
+            spec.events.trace.extend([
+                PlatformEvent::DrainStart {
+                    at: 130_000.0,
+                    part: 1,
+                },
+                PlatformEvent::DrainEnd {
+                    at: 150_000.0,
+                    part: 1,
+                },
+            ]);
+        }
+        let (trace, _) = scenario::materialize(&spec, None).unwrap();
+        let (_, recorder) = scenario::execute_recorded(&trace, &spec, Recorder::default()).unwrap();
+        let plain = recorder.into_telemetry();
+        assert!(plain.plan_repairs.iter().any(|r| r.count > 0), "{name}");
+        if !spec.events.is_empty() {
+            assert!(
+                plain.platform_events > 0 && plain.platform_kills > 0,
+                "{name}"
+            );
+            assert!(plain.platform_resubmits > 0, "{name}");
+        }
+        assert_eq!(plain.platform_drain_evacuations > 0, extra_drain, "{name}");
+        let (report, _) = scenario::run_audited(&spec).unwrap();
+        let audited = report.telemetry.expect("the spec asks for telemetry");
+        assert_eq!(audited, plain, "{name}: auditing changed the telemetry");
+    }
 }

@@ -54,14 +54,7 @@ impl RlbfAgent {
         base_policy: Policy,
         platform: &Platform,
     ) -> (Metrics, usize) {
-        let mut env = BackfillEnv::on_platform(trace, base_policy, self.env, platform);
-        while let Some(obs) = env.observation() {
-            let slot = self.ac.act_greedy(obs);
-            env.step(slot)
-                .expect("greedy actions are valid by construction");
-        }
-        let dropped = env.simulation().dropped_jobs();
-        (env.metrics(), dropped)
+        self.deploy(trace, base_policy, platform, |_| {})
     }
 
     /// [`Self::schedule_on_counted`] with the agent's decisions logged as
@@ -77,13 +70,27 @@ impl RlbfAgent {
         base_policy: Policy,
         platform: &Platform,
     ) -> (Metrics, usize, Vec<AuditRecord>) {
-        let mut env = BackfillEnv::on_platform(trace, base_policy, self.env, platform);
         let mut picks = Vec::new();
+        let (metrics, dropped) = self.deploy(trace, base_policy, platform, |r| picks.push(r));
+        (metrics, dropped, picks)
+    }
+
+    /// The greedy deploy loop behind both schedule methods: `on_pick`
+    /// receives the [`AuditRecord::AgentPicked`] of every decision that
+    /// starts a queued job. Returns the metrics and the dropped count.
+    fn deploy(
+        &self,
+        trace: &Trace,
+        base_policy: Policy,
+        platform: &Platform,
+        mut on_pick: impl FnMut(AuditRecord),
+    ) -> (Metrics, usize) {
+        let mut env = BackfillEnv::on_platform(trace, base_policy, self.env, platform);
         while let Some(obs) = env.observation() {
             let (slot, score) = self.ac.act_greedy_scored(obs);
             if let Some(qidx) = obs.queue_index[slot] {
                 let sim = env.simulation();
-                picks.push(AuditRecord::AgentPicked {
+                on_pick(AuditRecord::AgentPicked {
                     t: sim.now(),
                     job: sim.queue()[qidx].id,
                     slot,
@@ -94,7 +101,7 @@ impl RlbfAgent {
                 .expect("greedy actions are valid by construction");
         }
         let dropped = env.simulation().dropped_jobs();
-        (env.metrics(), dropped, picks)
+        (env.metrics(), dropped)
     }
 
     /// The paper's evaluation protocol (§4.3): sample `samples` random

@@ -98,7 +98,7 @@ fn scope_for(rel_path: &str) -> Option<RuleScope> {
     let probe_def = rel_path.ends_with("/probe.rs");
     // The reference simulation is the deliberately-naïve from-scratch
     // oracle the equivalence suite compares against; the audit layer is
-    // cold by construction (guarded by `audit_enabled`). Holding either
+    // cold by construction (guarded by `audit_on`). Holding either
     // to hot-path discipline would optimize the yardstick.
     let cold = observe || rel_path.contains("audit") || rel_path.ends_with("/reference.rs");
     // The sanctioned sync module: desim's replicated-run machinery today,

@@ -6,7 +6,9 @@
 //!   reproducible from its committed config file alone;
 //! * that committed report must also match the corresponding row of
 //!   `results/table3_policies.json` (the full-table binary and the
-//!   single-spec runner agree).
+//!   single-spec runner agree);
+//! * the audit logs of the two demo specs keep their exact bytes, pinned
+//!   by hash (the logs themselves are too large to commit).
 //!
 //! Run from the workspace root (the paths are workspace-relative, as in
 //! the CI smoke steps).
@@ -125,6 +127,32 @@ fn failure_demo_report_reproduces_byte_identically() {
     assert!(rob.kills > 0, "the outage must land while jobs are running");
     assert!(rob.resubmits > 0);
     assert!(rob.wasted_node_seconds > 0.0);
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn demo_audit_logs_reproduce_byte_identically() {
+    // Every record, wait breakdown and timeline sample of the exported
+    // log (`scenario audit <spec> --out`), for the migration demo and
+    // the failure demo (kills, resubmissions, a drain). A diff here means
+    // the engine decided differently or reported a decision differently.
+    for (name, records, hash) in [
+        ("audit_demo", 8398, 0xfb52_f09c_80fa_3c0a_u64),
+        ("failure_demo", 7669, 0x291d_4015_8466_2c86),
+    ] {
+        let path = format!("examples/scenarios/{name}.json");
+        let spec = ScenarioSpec::from_json(&read(&path)).unwrap();
+        let (_, log) = scenario::run_audited(&spec).expect("spec runs");
+        assert_eq!(log.records.len(), records, "{name}");
+        let got = fnv1a_64(log.to_json_pretty().as_bytes());
+        assert_eq!(got, hash, "{name}: audit log bytes moved ({got:#018x})");
+    }
 }
 
 #[test]
