@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks: the RL agent's hot paths — kernel policy
 //! forward, value forward, and the gradient accumulation that dominates
-//! PPO update time: policy and value forward+backward, and the fused
-//! calls the training loops make (value or log-prob plus gradient from one
-//! forward pass), at the default 64 observation slots.
+//! PPO update time: policy and value forward+backward, the per-sample
+//! fused calls (value or log-prob plus gradient from one forward pass),
+//! and the chunk calls every training step makes (one `GRAD_CHUNK` of
+//! samples per call), at the default 64 observation slots.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppo::ActorCritic;
+use ppo::{ActorCritic, GRAD_CHUNK};
 use rlbf::{BackfillActorCritic, NetConfig, ObsConfig, Observation, JOB_FEATURES};
 use std::hint::black_box;
 use tinynn::Matrix;
@@ -14,13 +15,19 @@ use tinynn::Matrix;
 /// job rows plus skip (training averages 2.7–4.6 valid rows), every slot
 /// filled.
 fn obs_of_size(slots: usize) -> Observation {
+    obs_with_shift(slots, 0)
+}
+
+/// [`obs_of_size`] with the valid rows moved `shift` slots along, so a
+/// chunk of them does not repeat one mask.
+fn obs_with_shift(slots: usize, shift: usize) -> Observation {
     let mut features = Matrix::zeros(slots + 1, JOB_FEATURES);
     for s in 0..slots {
         for c in 0..JOB_FEATURES {
             features.set(s, c, ((s * 13 + c) as f64 * 0.17).sin() * 0.5 + 0.5);
         }
     }
-    let mut mask: Vec<bool> = (0..slots).map(|s| s % (slots / 4) == 3).collect();
+    let mut mask: Vec<bool> = (0..slots).map(|s| (s + shift) % (slots / 4) == 3).collect();
     mask.push(true);
     let mut queue_index: Vec<Option<usize>> = (0..slots).map(Some).collect();
     queue_index.push(None);
@@ -91,12 +98,43 @@ fn bench_fused(c: &mut Criterion) {
     });
 }
 
+/// One `GRAD_CHUNK`-sample chunk per call, as an imitation pass or a π
+/// iteration runs it, and as a V iteration does.
+fn bench_chunks(c: &mut Criterion) {
+    let obs: Vec<Observation> = (0..GRAD_CHUNK).map(|i| obs_with_shift(64, i)).collect();
+    let actions: Vec<usize> = obs
+        .iter()
+        .map(|o| o.mask.iter().position(|&m| m).expect("a valid row"))
+        .collect();
+    c.bench_function("policy_chunk_128x64", |b| {
+        let mut ac = ac_of_size(64);
+        b.iter(|| {
+            ac.log_probs_and_grads(
+                0..GRAD_CHUNK,
+                |i| (black_box(&obs[i]), actions[i]),
+                |_, lp| 0.01 * lp,
+            )
+        })
+    });
+    c.bench_function("value_chunk_128x64", |b| {
+        let mut ac = ac_of_size(64);
+        b.iter(|| {
+            ac.values_and_grads(
+                0..GRAD_CHUNK,
+                |i| black_box(&obs[i]),
+                |_, v| -2.0 * (v - 0.5),
+            )
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_forward,
     bench_value,
     bench_policy_backward,
     bench_value_backward,
-    bench_fused
+    bench_fused,
+    bench_chunks
 );
 criterion_main!(benches);

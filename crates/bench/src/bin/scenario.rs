@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run -p bench --bin scenario -- run examples/scenarios/table3_fcfs.json
-//! cargo run -p bench --bin scenario -- run spec.json --out my_report
+//! cargo run -p bench --bin scenario -- run spec.json --out out/report.json
 //! cargo run -p bench --bin scenario -- run spec.json --stdout
 //! cargo run -p bench --bin scenario -- trace examples/scenarios/trace_demo.json
 //! cargo run -p bench --bin scenario -- explain examples/scenarios/audit_demo.json --job 17
@@ -19,8 +19,9 @@
 //! ```
 //!
 //! `run` writes the uniform `RunReport` (or report list, for seeded
-//! specs) as pretty JSON under `results/` named after the spec file; the
-//! output is fully deterministic, so committed reports can be compared
+//! specs) as pretty JSON to `results/<spec stem>.json`, or to the file
+//! path given with `--out` (its directories are created); the output is
+//! fully deterministic, so committed reports can be compared
 //! byte-for-byte (see `tests/scenario_reproduce.rs`). Everything
 //! human-facing (tables, progress, warnings) goes to **stderr**: with
 //! `--stdout`, stdout carries exactly one JSON document and nothing
@@ -39,7 +40,7 @@
 //! reports the **first divergent record** (exit 1); identical logs exit
 //! 0.
 
-use bench::{report_table, write_reports, TRACE_SEED};
+use bench::{report_table, TRACE_SEED};
 use hpcsim::prelude::*;
 use swf::{TracePreset, TraceSource};
 
@@ -216,7 +217,7 @@ fn example_specs() -> Vec<(&'static str, ScenarioSpec)> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenario run <spec.json> [--out NAME] [--stdout] [--perturb EVENTS]\n       \
+        "usage: scenario run <spec.json> [--out FILE] [--stdout] [--perturb EVENTS]\n       \
          scenario trace <spec.json> [--out FILE] [--perturb EVENTS]\n       \
          scenario explain <spec.json> [--job ID] [--perturb EVENTS]\n       \
          scenario audit <spec.json> [--out FILE] [--perturb EVENTS]\n       \
@@ -282,6 +283,22 @@ fn run_audited_or_exit(spec: &ScenarioSpec) -> (RunReport, hpcsim::AuditLog) {
             std::process::exit(1);
         }
     }
+}
+
+/// The file path after `--out`, if given.
+fn out_arg(args: &[String]) -> Option<String> {
+    let i = args.iter().position(|a| a == "--out")?;
+    args.get(i + 1).cloned()
+}
+
+/// Writes `contents` to the file at `path` verbatim, creating its parent
+/// directories.
+fn write_file(path: &str, contents: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("can create the output dir");
+    }
+    std::fs::write(path, contents).expect("can write the output file");
+    eprintln!("wrote {path}");
 }
 
 /// The default `results/<stem>_<suffix>.json` output path for a spec.
@@ -423,21 +440,21 @@ fn main() {
                 let json = serde_json::to_string_pretty(&reports).expect("reports serialize");
                 println!("{json}");
             } else {
-                let default_name = std::path::Path::new(path)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "scenario".into());
-                let out = args
-                    .iter()
-                    .position(|a| a == "--out")
-                    .and_then(|i| args.get(i + 1).cloned())
-                    .unwrap_or(default_name);
-                if reports.len() == 1 {
-                    // Single-shot runs commit as one report object.
-                    bench::write_json(&out, &reports[0]);
+                let out = out_arg(&args).unwrap_or_else(|| {
+                    let stem = std::path::Path::new(path)
+                        .file_stem()
+                        .map(|s| s.to_string_lossy().into_owned())
+                        .unwrap_or_else(|| "scenario".into());
+                    let out = bench::results_dir().join(format!("{stem}.json"));
+                    out.to_string_lossy().into_owned()
+                });
+                // Single-shot runs commit as one report object.
+                let json = if reports.len() == 1 {
+                    serde_json::to_string_pretty(&reports[0])
                 } else {
-                    write_reports(&out, &reports);
-                }
+                    serde_json::to_string_pretty(&reports)
+                };
+                write_file(&out, &json.expect("reports serialize"));
             }
         }
         Some("trace") => {
@@ -467,16 +484,9 @@ fn main() {
                 "{}: {} jobs, {} events, {spans} spans across the simulation phases",
                 report.label, report.jobs, telemetry.events
             );
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1).cloned())
-                .unwrap_or_else(|| derived_out(path, "trace"));
-            if let Some(dir) = std::path::Path::new(&out).parent() {
-                std::fs::create_dir_all(dir).expect("can create the trace output dir");
-            }
-            std::fs::write(&out, recorder.chrome_trace_json()).expect("can write the trace file");
-            eprintln!("wrote {out} (open in chrome://tracing or Perfetto)");
+            let out = out_arg(&args).unwrap_or_else(|| derived_out(path, "trace"));
+            write_file(&out, &recorder.chrome_trace_json());
+            eprintln!("(open {out} in chrome://tracing or Perfetto)");
         }
         Some("explain") => {
             let path = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
@@ -511,16 +521,8 @@ fn main() {
                 report.jobs,
                 log.records.len()
             );
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1).cloned())
-                .unwrap_or_else(|| derived_out(path, "audit"));
-            if let Some(dir) = std::path::Path::new(&out).parent() {
-                std::fs::create_dir_all(dir).expect("can create the audit output dir");
-            }
-            std::fs::write(&out, log.to_json_pretty()).expect("can write the audit log");
-            eprintln!("wrote {out}");
+            let out = out_arg(&args).unwrap_or_else(|| derived_out(path, "audit"));
+            write_file(&out, &log.to_json_pretty());
         }
         Some("audit-diff") => {
             let a_path = args.get(1).map(String::as_str).unwrap_or_else(|| usage());

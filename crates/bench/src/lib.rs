@@ -242,6 +242,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "--obsv 5461 exceeds the supported 5460 slots")]
+    fn scale_refuses_an_obsv_too_wide_for_the_agent() {
+        let args = ["--obsv", "5461"].map(String::from);
+        Scale::from_args(args.into_iter());
+    }
+
+    #[test]
     fn obs_configs_agree() {
         let (env, net) = obs_configs(48);
         assert_eq!(env.obs, net.obs);

@@ -23,7 +23,8 @@ pub struct Scale {
     pub traj_per_epoch: usize,
     /// Jobs per trajectory (paper: 256).
     pub jobs_per_traj: usize,
-    /// Observation slots (paper: 128).
+    /// Observation slots (paper: 128; at most
+    /// [`rlbf::MAX_SUPPORTED_OBSV_SIZE`]).
     pub max_obsv_size: usize,
     /// Evaluation windows (paper: 10).
     pub eval_samples: usize,
@@ -92,6 +93,12 @@ impl Scale {
             }
             i += 1;
         }
+        assert!(
+            scale.max_obsv_size <= rlbf::MAX_SUPPORTED_OBSV_SIZE,
+            "--obsv {} exceeds the supported {} slots",
+            scale.max_obsv_size,
+            rlbf::MAX_SUPPORTED_OBSV_SIZE
+        );
         scale
     }
 

@@ -4,6 +4,8 @@
 //! * `run … --stdout` must emit **exactly one JSON document on stdout**
 //!   — the regression that motivated moving every table/diagnostic to
 //!   stderr, where a `## title` header used to corrupt piped JSON;
+//! * `run … --out FILE` writes the report to exactly that path, creating
+//!   its directories;
 //! * `trace …` must write a parseable Chrome-trace file with at least
 //!   one span, and exit zero.
 
@@ -50,6 +52,35 @@ fn run_stdout_is_pure_json() {
         stderr.contains("## scenario run"),
         "the diagnostic table moved off stderr:\n{stderr}"
     );
+}
+
+#[test]
+fn run_out_is_a_file_path_with_its_directories_created() {
+    let spec = workspace_root().join("examples/scenarios/table3_fcfs.json");
+    let dir = std::env::temp_dir().join(format!("scenario_run_out_{}", std::process::id()));
+    let out_file = dir.join("nested").join("x.json");
+    let out = scenario_bin()
+        .args([
+            "run",
+            spec.to_str().unwrap(),
+            "--out",
+            out_file.to_str().unwrap(),
+        ])
+        .output()
+        .expect("scenario binary runs");
+    let json = std::fs::read_to_string(&out_file);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "scenario run --out failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = json.expect("the report was written to the --out path verbatim");
+    let parsed: serde_json::Value = serde_json::from_str(&json).expect("the report is valid JSON");
+    let serde_json::Value::Object(fields) = parsed else {
+        panic!("an unseeded spec writes one report object");
+    };
+    assert!(fields.iter().any(|(k, _)| k == "label"), "{json}");
 }
 
 #[test]

@@ -11,12 +11,18 @@
 //! [`policy_grad_coef`] and verified against finite differences in tests.
 //!
 //! Every gradient step — the π and V iterations here and `rlbf`'s
-//! imitation passes — sums its per-sample gradients through
-//! [`accumulate_chunked`]: fixed chunks of [`GRAD_CHUNK`] samples merged in
-//! chunk order, so the float summation order depends on the batch alone.
+//! imitation passes — hands its samples to the actor-critic through
+//! [`accumulate_chunked`], in fixed chunks of [`GRAD_CHUNK`] samples.
+//! Each chunk is one call ([`ActorCritic::log_probs_and_grads`] or
+//! [`ActorCritic::values_and_grads`]): the actor-critic sums the chunk's
+//! per-sample gradients from zero and adds the sum to its accumulated
+//! gradients once, so the float summation order depends on the batch
+//! alone, and an implementation can run the whole chunk as one batched
+//! network pass.
 
 use crate::buffer::Batch;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// PPO hyper-parameters. Defaults follow the paper §4.1.1 (80 update
 /// iterations for both networks) and SpinningUp conventions for the rest.
@@ -105,9 +111,8 @@ pub fn approx_kl(logp_old: &[f64], logp_new: &[f64]) -> f64 {
 ///
 /// `rlbf` implements this with the paper's kernel policy network and MLP
 /// value network; the tests use a tabular implementation. Gradients are
-/// *accumulated* by the `accumulate_*` calls and consumed by the
-/// `*_opt_step` calls (which must also clear them). [`accumulate_chunked`]
-/// accumulates on a clone and sums it back with [`Self::merge_grads_from`].
+/// *accumulated* by the `accumulate_*` calls and the chunk calls, and
+/// consumed by the `*_opt_step` calls (which must also clear them).
 pub trait ActorCritic<O> {
     /// Log-probability of `action` at `obs` under the current policy.
     fn log_prob(&self, obs: &O, action: usize) -> f64;
@@ -122,7 +127,12 @@ pub trait ActorCritic<O> {
     /// ∇_θ log π(action|obs)` accumulated as by
     /// [`Self::accumulate_policy_grad`]. Implementors override it to share
     /// one forward pass between the two.
-    fn log_prob_and_grad(&mut self, obs: &O, action: usize, coef: impl FnOnce(f64) -> f64) -> f64 {
+    fn log_prob_and_grad(
+        &mut self,
+        obs: &O,
+        action: usize,
+        mut coef: impl FnMut(f64) -> f64,
+    ) -> f64 {
         let log_prob = self.log_prob(obs, action);
         self.accumulate_policy_grad(obs, action, coef(log_prob));
         log_prob
@@ -130,11 +140,35 @@ pub trait ActorCritic<O> {
     /// Critic value at `obs`, with `coef(value) · ∇_φ V(obs)` accumulated
     /// as by [`Self::accumulate_value_grad`]. Implementors override it to
     /// share one forward pass between the two.
-    fn value_and_grad(&mut self, obs: &O, coef: impl FnOnce(f64) -> f64) -> f64 {
+    fn value_and_grad(&mut self, obs: &O, mut coef: impl FnMut(f64) -> f64) -> f64 {
         let value = self.value(obs);
         self.accumulate_value_grad(obs, coef(value));
         value
     }
+    /// One chunk of policy-gradient samples: for each `i` in `chunk`, in
+    /// order, with `(obs, action) = sample(i)`, calls `coef(i, log π(action
+    /// | obs))` once and takes `coef · ∇_θ log π(action|obs)`. The chunk's
+    /// terms are summed from zero and the sum is added to the accumulated
+    /// policy gradient once: the arithmetic of [`Self::log_prob_and_grad`]
+    /// per sample on a zeroed clone, merged back with
+    /// [`Self::merge_grads_from`].
+    fn log_probs_and_grads<'o>(
+        &mut self,
+        chunk: Range<usize>,
+        sample: impl Fn(usize) -> (&'o O, usize),
+        coef: impl FnMut(usize, f64) -> f64,
+    ) where
+        O: 'o;
+    /// [`Self::log_probs_and_grads`] for the critic: calls `coef(i,
+    /// V(obs(i)))` once per sample, in order, and adds the chunk's sum of
+    /// `coef · ∇_φ V(obs(i))` to the accumulated value gradient once.
+    fn values_and_grads<'o>(
+        &mut self,
+        chunk: Range<usize>,
+        obs: impl Fn(usize) -> &'o O,
+        coef: impl FnMut(usize, f64) -> f64,
+    ) where
+        O: 'o;
     /// Applies and clears accumulated policy gradients (ascent direction).
     fn policy_opt_step(&mut self);
     /// Applies and clears accumulated value gradients (descent on MSE is
@@ -154,53 +188,39 @@ pub trait ActorCritic<O> {
 /// an option: changing it changes training results.
 pub const GRAD_CHUNK: usize = 128;
 
-/// Runs `f(worker, i)` for every sample index `i < n`, adds the gradients
-/// `f` accumulates on the worker to `ac`, and returns `f`'s outputs in
-/// index order.
-///
-/// The indices run in contiguous chunks of [`GRAD_CHUNK`]. Each chunk
-/// accumulates on one clone of `ac` that starts from zero gradients, and
-/// the clone's gradients are added to `ac` after every chunk, in chunk
-/// order. From zero gradients on `ac`, a run of at most [`GRAD_CHUNK`]
-/// samples sums exactly like a plain loop over `ac`.
-pub fn accumulate_chunked<O, AC, R, F>(ac: &mut AC, n: usize, mut f: F) -> Vec<R>
-where
-    AC: ActorCritic<O> + Clone,
-    F: FnMut(&mut AC, usize) -> R,
-{
-    // Cloned before any merge, then cleared: a worker holding `ac`'s own
-    // gradients would count them twice.
-    let mut worker = ac.clone();
-    worker.zero_grads();
-    let mut out = Vec::with_capacity(n);
+/// Calls `chunk` on the sample indices `0..n` in contiguous chunks of
+/// [`GRAD_CHUNK`], in order; `chunk` hands each to the actor-critic's
+/// chunk call. From zero gradients, a run of at most [`GRAD_CHUNK`]
+/// samples sums exactly like a plain loop of per-sample calls.
+pub fn accumulate_chunked(n: usize, mut chunk: impl FnMut(Range<usize>)) {
     for start in (0..n).step_by(GRAD_CHUNK) {
-        out.extend((start..n.min(start + GRAD_CHUNK)).map(|i| f(&mut worker, i)));
-        ac.merge_grads_from(&worker);
-        worker.zero_grads();
+        chunk(start..n.min(start + GRAD_CHUNK));
     }
-    out
 }
 
-/// Runs one full PPO update (π and V) on a finished batch, every sample
-/// through one fused network call per iteration, the gradients summed by
+/// Runs one full PPO update (π and V) on a finished batch: every
+/// iteration hands the batch to the actor-critic chunk by chunk through
 /// [`accumulate_chunked`].
 pub fn ppo_update<O, AC>(ac: &mut AC, batch: &Batch<O>, cfg: &PpoConfig) -> UpdateStats
 where
-    AC: ActorCritic<O> + Clone,
+    AC: ActorCritic<O>,
 {
     assert!(!batch.is_empty(), "cannot update on an empty batch");
     let n = batch.len() as f64;
     let logp_old: Vec<f64> = batch.steps.iter().map(|s| s.log_prob).collect();
+    let sample = |i: usize| (&batch.steps[i].obs, batch.steps[i].action);
 
     let mut kl = 0.0;
     let mut pi_iters_run = 0;
     let mut clip_frac = 0.0;
+    let mut logp_new = Vec::with_capacity(batch.len());
     for _ in 0..cfg.train_pi_iters {
         // The gradient's own forward pass yields the new log-prob, which
         // sets its coefficient and feeds the KL check below.
-        let logp_new = accumulate_chunked(ac, batch.len(), |w, i| {
-            let s = &batch.steps[i];
-            w.log_prob_and_grad(&s.obs, s.action, |lp| {
+        logp_new.clear();
+        accumulate_chunked(batch.len(), |chunk| {
+            ac.log_probs_and_grads(chunk, sample, |i, lp| {
+                logp_new.push(lp);
                 policy_grad_coef(lp, logp_old[i], batch.advantages[i], cfg.clip_ratio) / n
             })
         });
@@ -221,10 +241,19 @@ where
     }
 
     let mut value_loss = 0.0;
+    let mut values = Vec::with_capacity(batch.len());
     for _ in 0..cfg.train_v_iters {
         // Descent on MSE: dL/dφ = 2·err·∇V / n, so accumulate the negative.
-        let values = accumulate_chunked(ac, batch.len(), |w, i| {
-            w.value_and_grad(&batch.steps[i].obs, |v| -2.0 * (v - batch.returns[i]) / n)
+        values.clear();
+        accumulate_chunked(batch.len(), |chunk| {
+            ac.values_and_grads(
+                chunk,
+                |i| &batch.steps[i].obs,
+                |i, v| {
+                    values.push(v);
+                    -2.0 * (v - batch.returns[i]) / n
+                },
+            )
         });
         value_loss = values
             .iter()
@@ -247,6 +276,38 @@ where
 mod tests {
     use super::*;
     use crate::buffer::{RolloutBuffer, Step};
+
+    /// The chunk contract for the tabular actor-critics: per-sample calls
+    /// on a zeroed clone, merged back once.
+    fn policy_chunk_on_clone<'o, O: 'o, AC: ActorCritic<O> + Clone>(
+        ac: &mut AC,
+        chunk: Range<usize>,
+        sample: impl Fn(usize) -> (&'o O, usize),
+        mut coef: impl FnMut(usize, f64) -> f64,
+    ) {
+        let mut worker = ac.clone();
+        worker.zero_grads();
+        for i in chunk {
+            let (obs, action) = sample(i);
+            worker.log_prob_and_grad(obs, action, |lp| coef(i, lp));
+        }
+        ac.merge_grads_from(&worker);
+    }
+
+    /// [`policy_chunk_on_clone`] for the critic.
+    fn value_chunk_on_clone<'o, O: 'o, AC: ActorCritic<O> + Clone>(
+        ac: &mut AC,
+        chunk: Range<usize>,
+        obs: impl Fn(usize) -> &'o O,
+        mut coef: impl FnMut(usize, f64) -> f64,
+    ) {
+        let mut worker = ac.clone();
+        worker.zero_grads();
+        for i in chunk {
+            worker.value_and_grad(obs(i), |v| coef(i, v));
+        }
+        ac.merge_grads_from(&worker);
+    }
 
     #[test]
     fn grad_coef_matches_finite_differences() {
@@ -324,6 +385,22 @@ mod tests {
         fn accumulate_value_grad(&mut self, _obs: &(), coef: f64) {
             self.value_grad += coef;
         }
+        fn log_probs_and_grads<'o>(
+            &mut self,
+            chunk: Range<usize>,
+            sample: impl Fn(usize) -> (&'o (), usize),
+            coef: impl FnMut(usize, f64) -> f64,
+        ) {
+            policy_chunk_on_clone(self, chunk, sample, coef);
+        }
+        fn values_and_grads<'o>(
+            &mut self,
+            chunk: Range<usize>,
+            obs: impl Fn(usize) -> &'o (),
+            coef: impl FnMut(usize, f64) -> f64,
+        ) {
+            value_chunk_on_clone(self, chunk, obs, coef);
+        }
         fn policy_opt_step(&mut self) {
             for i in 0..2 {
                 self.logits[i] += self.lr * self.grad[i];
@@ -370,6 +447,22 @@ mod tests {
         }
         fn accumulate_value_grad(&mut self, x: &f64, coef: f64) {
             self.value_grad += coef * x;
+        }
+        fn log_probs_and_grads<'o>(
+            &mut self,
+            chunk: Range<usize>,
+            sample: impl Fn(usize) -> (&'o f64, usize),
+            coef: impl FnMut(usize, f64) -> f64,
+        ) {
+            policy_chunk_on_clone(self, chunk, sample, coef);
+        }
+        fn values_and_grads<'o>(
+            &mut self,
+            chunk: Range<usize>,
+            obs: impl Fn(usize) -> &'o f64,
+            coef: impl FnMut(usize, f64) -> f64,
+        ) {
+            value_chunk_on_clone(self, chunk, obs, coef);
         }
         fn policy_opt_step(&mut self) {
             self.theta += self.grad;
@@ -462,9 +555,16 @@ mod tests {
             grad: 0.5,
             ..Summer::default()
         };
-        let out = accumulate_chunked(&mut ac, xs.len(), |w, i| {
-            w.accumulate_policy_grad(&xs[i], 0, 1.0);
-            i
+        let mut out = Vec::new();
+        accumulate_chunked(xs.len(), |chunk| {
+            ac.log_probs_and_grads(
+                chunk,
+                |i| (&xs[i], 0),
+                |i, _| {
+                    out.push(i);
+                    1.0
+                },
+            )
         });
         assert_eq!(out, (0..xs.len()).collect::<Vec<_>>());
         assert_eq!(ac.value_grad, 0.0);

@@ -41,7 +41,7 @@ pub mod train;
 pub use agent::{evaluate_heuristic, sample_windows, RlbfAgent};
 pub use env::{BackfillEnv, EnvConfig, EnvError, Objective, RewardKind};
 pub use nets::{BackfillActorCritic, NetConfig};
-pub use obs::{ObsConfig, Observation, PartitionCtx, JOB_FEATURES};
+pub use obs::{ObsConfig, Observation, PartitionCtx, JOB_FEATURES, MAX_SUPPORTED_OBSV_SIZE};
 pub use scenario::{
     agent_slot, run_spec, run_spec_with_agent, train_from_spec, train_sweep, train_sweep_spec,
     TrainSweep, TrainSweepReport,

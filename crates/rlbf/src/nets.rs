@@ -8,16 +8,31 @@
 //!   rows the mask allows need scoring, and only those are evaluated.
 //! * **Value network** (§3.3.2): a 3-layer MLP over the *flattened*
 //!   observation ("the jobs are concat and flattened before being input"),
-//!   estimating the expected episode reward.
+//!   estimating the expected episode reward. It reads the observation's
+//!   feature matrix in place as that flat row, and only its nonzero
+//!   entries.
+//!
+//! Training runs one chunk of samples per call
+//! ([`ActorCritic::log_probs_and_grads`], [`ActorCritic::values_and_grads`]).
+//! The policy stacks the valid rows of every sample into one matrix, one
+//! segment per sample, and runs one forward and one backward pass per
+//! layer; the softmax and its logit gradient run per segment. The value
+//! network runs the chunk's observations as one batch, one row each. Both
+//! sum each sample's gradient on its own and each chunk's into a zeroed
+//! buffer added once, so a chunk has the bits of one per-sample call after
+//! another. The per-sample calls are chunks of one. The buffers live in a
+//! scratch that is neither serialized nor cloned, so a gradient step
+//! allocates nothing once they have grown.
 
-use crate::obs::{ObsConfig, Observation, JOB_FEATURES};
+use crate::obs::{ObsConfig, Observation, JOB_FEATURES, MAX_SUPPORTED_OBSV_SIZE};
 use ppo::ActorCritic;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use tinynn::matrix::add_weighted_sum;
 use tinynn::{
-    entropy_grad_wrt_logits, log_prob_grad_wrt_logits, Activation, Adam, AdamConfig,
-    MaskedCategorical, Matrix, Mlp,
+    Activation, Adam, AdamConfig, BatchInput, MaskedCategorical, Matrix, Mlp, MlpScratch, Softmax,
 };
 
 /// Network architecture and optimizer configuration.
@@ -60,11 +75,45 @@ pub struct BackfillActorCritic {
     cfg: NetConfig,
     policy_opt: Adam,
     value_opt: Adam,
+    #[serde(skip)]
+    scratch: Scratch,
+}
+
+/// The buffers of the chunk passes. They hold nothing between calls, so a
+/// clone starts empty.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The policy's input: the valid rows of the chunk's observations,
+    /// stacked in sample order.
+    rows: Matrix,
+    /// The slot of each row of `rows`.
+    slots: Vec<usize>,
+    /// The end of each sample's segment: in `rows` for the policy, or
+    /// `1, 2, …` for the value network's one row per sample.
+    ends: Vec<usize>,
+    /// The nonzero positions of each value-network input row,
+    /// concatenated; `nz_ends` ends each row's.
+    nz: Vec<u16>,
+    nz_ends: Vec<usize>,
+    policy: MlpScratch,
+    value: MlpScratch,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl BackfillActorCritic {
-    /// Fresh Xavier-initialized networks.
+    /// Fresh Xavier-initialized networks. Panics if
+    /// `cfg.obs.max_obsv_size` exceeds [`MAX_SUPPORTED_OBSV_SIZE`].
     pub fn new(cfg: NetConfig, seed: u64) -> Self {
+        assert!(
+            cfg.obs.max_obsv_size <= MAX_SUPPORTED_OBSV_SIZE,
+            "max_obsv_size {} exceeds the supported {MAX_SUPPORTED_OBSV_SIZE} slots",
+            cfg.obs.max_obsv_size
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut policy_dims = vec![JOB_FEATURES];
         policy_dims.extend(&cfg.policy_hidden);
@@ -89,6 +138,7 @@ impl BackfillActorCritic {
             policy_opt: Adam::new(AdamConfig::with_lr(cfg.pi_lr)),
             value_opt: Adam::new(AdamConfig::with_lr(cfg.v_lr)),
             cfg,
+            scratch: Scratch::default(),
         }
     }
 
@@ -103,7 +153,7 @@ impl BackfillActorCritic {
     pub fn logits(&self, obs: &Observation) -> Vec<f64> {
         let (slots, logits) = self.valid_logits(obs);
         let mut out = vec![f64::NEG_INFINITY; obs.mask.len()];
-        for (&s, l) in slots.iter().zip(logits) {
+        for (&s, &l) in slots.iter().zip(logits.data()) {
             out[s] = l;
         }
         out
@@ -118,7 +168,7 @@ impl BackfillActorCritic {
     /// `(slot, log_prob, value)`.
     pub fn act_sample<R: Rng + ?Sized>(&self, obs: &Observation, rng: &mut R) -> (usize, f64, f64) {
         let (slots, logits) = self.valid_logits(obs);
-        let dist = over_valid(&logits);
+        let dist = Softmax::new(logits.data());
         let a = dist.sample(rng);
         (slots[a], dist.log_prob(a), self.value_of(obs))
     }
@@ -132,13 +182,20 @@ impl BackfillActorCritic {
     /// forward pass.
     pub(crate) fn act_greedy_scored(&self, obs: &Observation) -> (usize, f64) {
         let (slots, logits) = self.valid_logits(obs);
-        let a = over_valid(&logits).argmax();
-        (slots[a], logits[a])
+        let a = Softmax::new(logits.data()).argmax();
+        (slots[a], logits.data()[a])
     }
 
     /// Critic estimate of the expected episode reward at `obs`.
     pub fn value_of(&self, obs: &Observation) -> f64 {
-        self.value.forward(&obs.features.flatten()).get(0, 0)
+        let mut nz = Vec::new();
+        push_nonzeros(&obs.features, &mut nz);
+        let input = FlatRows {
+            obs: |_| obs,
+            nz: &nz,
+            ends: &[nz.len()],
+        };
+        self.value.forward(&input).get(0, 0)
     }
 
     /// Serializes the full agent (networks + optimizer state) to JSON.
@@ -159,44 +216,18 @@ impl BackfillActorCritic {
     }
 
     /// The policy kernel over the valid rows of `obs`: their slots, in
-    /// slot order, and their logits.
-    fn valid_logits(&self, obs: &Observation) -> (Vec<usize>, Vec<f64>) {
-        let (slots, rows) = valid_rows(obs);
-        (slots, self.policy.forward(&rows).data().to_vec())
-    }
-
-    /// `log π(action)`, after backpropagating `coef(log π(action)) ·
-    /// ∇ log π(action)`, plus the entropy bonus, through a forward pass
-    /// over the valid rows of `obs`.
-    fn policy_grad(
-        &mut self,
-        obs: &Observation,
-        action: usize,
-        coef: impl FnOnce(f64) -> f64,
-    ) -> f64 {
-        let (slots, rows) = valid_rows(obs);
-        let a = slots
-            .binary_search(&action)
-            .unwrap_or_else(|_| panic!("gradient of masked action {action}"));
-        let cache = self.policy.forward_cached(&rows);
-        let logits = cache.output().data(); // k × 1
-        let all = vec![true; logits.len()];
-        let log_prob = MaskedCategorical::new(logits, &all).log_prob(a);
-        let mut dlogits = log_prob_grad_wrt_logits(logits, &all, a, coef(log_prob));
-        if self.cfg.entropy_coef != 0.0 {
-            let ent = entropy_grad_wrt_logits(logits, &all);
-            for (d, e) in dlogits.iter_mut().zip(ent) {
-                *d += self.cfg.entropy_coef * e;
-            }
-        }
-        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
-        self.policy.backward(&cache, &grad);
-        log_prob
+    /// slot order, and their logits (`k × 1`).
+    fn valid_logits(&self, obs: &Observation) -> (Vec<usize>, Matrix) {
+        let k = obs.mask.iter().filter(|&&m| m).count();
+        let mut slots = Vec::with_capacity(k);
+        let mut rows = Matrix::from_vec(0, JOB_FEATURES, Vec::with_capacity(k * JOB_FEATURES));
+        push_valid_rows(obs, &mut slots, &mut rows);
+        (slots, self.policy.forward(&rows))
     }
 }
 
-/// The rows of `obs` its mask allows: their slot indices, in slot order,
-/// and their features stacked into a `k × JOB_FEATURES` matrix.
+/// Appends the rows of `obs` its mask allows to `rows`, and their slot
+/// indices, in slot order, to `slots`.
 ///
 /// The policy evaluates these rows only, and its results are bit-identical
 /// to a pass over every row. The kernel scores each row on its own, and
@@ -204,19 +235,94 @@ impl BackfillActorCritic {
 /// row's logit gradient is exactly zero, and every product it would add
 /// to a parameter gradient is ±0, which cannot change a sum started at
 /// `+0.0`.
-fn valid_rows(obs: &Observation) -> (Vec<usize>, Matrix) {
-    let slots: Vec<usize> = (0..obs.mask.len()).filter(|&s| obs.mask[s]).collect();
-    let mut data = Vec::with_capacity(slots.len() * JOB_FEATURES);
-    for &s in &slots {
-        data.extend_from_slice(obs.features.row_slice(s));
+fn push_valid_rows(obs: &Observation, slots: &mut Vec<usize>, rows: &mut Matrix) {
+    for (s, _) in obs.mask.iter().enumerate().filter(|(_, &m)| m) {
+        slots.push(s);
+        rows.push_row(obs.features.row_slice(s));
     }
-    let rows = Matrix::from_vec(slots.len(), JOB_FEATURES, data);
-    (slots, rows)
 }
 
-/// The softmax over the logits of the valid rows.
-fn over_valid(logits: &[f64]) -> MaskedCategorical {
-    MaskedCategorical::new(logits, &vec![true; logits.len()])
+/// Appends the positions of the nonzero entries of `features`, read
+/// row-major, to `nz`, in order (`-0.0` counts as zero, as the skipped
+/// zeros of [`Matrix::matmul`] do). All-zero rows (the padding) are
+/// dropped by one test per row; within a job row, zeros and nonzeros
+/// alternate too irregularly to predict, so that scan is branch-free.
+/// [`BackfillActorCritic::new`] rejects observations too wide for `u16`
+/// positions.
+fn push_nonzeros(features: &Matrix, nz: &mut Vec<u16>) {
+    let cols = features.cols();
+    assert!(
+        features.rows() * cols <= 1 << 16,
+        "value input wider than u16 positions"
+    );
+    for r in 0..features.rows() {
+        let row = features.row_slice(r);
+        // Shifting out the sign bit maps ±0.0 to 0 and nothing else.
+        if row.iter().fold(0, |any, v| any | v.to_bits() << 1) == 0 {
+            continue;
+        }
+        let start = nz.len();
+        nz.resize(start + cols, 0);
+        let mut n = start;
+        for (c, &v) in row.iter().enumerate() {
+            nz[n] = (r * cols + c) as u16;
+            n += usize::from(v != 0.0);
+        }
+        nz.truncate(n);
+    }
+}
+
+/// The value network's input: one flat row per sample, row `r` being
+/// `obs(r).features` read in place in row-major order. Only the entries
+/// listed in `nz` (row `r`'s are `nz[ends[r-1]..ends[r]]`) are read; they
+/// are exactly the nonzeros a dense pass would not skip, in the same
+/// order, so the products keep the bits of the flattened matrix's.
+struct FlatRows<'a, F> {
+    obs: F,
+    nz: &'a [u16],
+    ends: &'a [usize],
+}
+
+impl<F> FlatRows<'_, F> {
+    /// Per row: its index and its nonzero positions.
+    fn rows(&self) -> impl Iterator<Item = (usize, &[u16])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(self.ends)
+            .map(|(lo, &hi)| &self.nz[lo..hi])
+            .enumerate()
+    }
+}
+
+impl<'o, F: Fn(usize) -> &'o Observation> BatchInput for FlatRows<'_, F> {
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix) {
+        out.reset(self.ends.len(), w.cols());
+        for (r, nz) in self.rows() {
+            let x = (self.obs)(r).features.data();
+            let terms = nz
+                .iter()
+                .map(|&k| (x[usize::from(k)], w.row_slice(usize::from(k))));
+            add_weighted_sum(out.row_slice_mut(r), terms);
+        }
+    }
+
+    /// One segment per row, each a one-term sum: `0.0 + x·g` per nonzero.
+    fn add_transposed_matmul_to(&self, g: &Matrix, ends: &[usize], acc: &mut Matrix) {
+        debug_assert!(ends.iter().enumerate().all(|(r, &e)| e == r + 1));
+        for (r, nz) in self.rows() {
+            let x = (self.obs)(r).features.data();
+            for &k in nz {
+                let a = x[usize::from(k)];
+                for (o, &y) in acc
+                    .row_slice_mut(usize::from(k))
+                    .iter_mut()
+                    .zip(g.row_slice(r))
+                {
+                    *o += 0.0 + a * y;
+                }
+            }
+        }
+    }
 }
 
 fn merge_mlp_grads(into: &mut Mlp, from: &Mlp) {
@@ -243,9 +349,9 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     fn log_prob(&self, obs: &Observation, action: usize) -> f64 {
         // A masked action has probability zero.
         let (slots, logits) = self.valid_logits(obs);
-        slots
-            .binary_search(&action)
-            .map_or(f64::NEG_INFINITY, |a| over_valid(&logits).log_prob(a))
+        slots.binary_search(&action).map_or(f64::NEG_INFINITY, |a| {
+            Softmax::new(logits.data()).log_prob(a)
+        })
     }
 
     fn value(&self, obs: &Observation) -> f64 {
@@ -253,29 +359,109 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     }
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
-        self.policy_grad(obs, action, |_| coef);
+        self.log_probs_and_grads(0..1, |_| (obs, action), |_, _| coef);
     }
 
     fn accumulate_value_grad(&mut self, obs: &Observation, coef: f64) {
-        self.value_and_grad(obs, |_| coef);
+        self.values_and_grads(0..1, |_| obs, |_, _| coef);
     }
 
     fn log_prob_and_grad(
         &mut self,
         obs: &Observation,
         action: usize,
-        coef: impl FnOnce(f64) -> f64,
+        mut coef: impl FnMut(f64) -> f64,
     ) -> f64 {
-        self.policy_grad(obs, action, coef)
+        let mut log_prob = 0.0;
+        self.log_probs_and_grads(
+            0..1,
+            |_| (obs, action),
+            |_, lp| {
+                log_prob = lp;
+                coef(lp)
+            },
+        );
+        log_prob
     }
 
-    fn value_and_grad(&mut self, obs: &Observation, coef: impl FnOnce(f64) -> f64) -> f64 {
-        let flat = obs.features.flatten();
-        let cache = self.value.forward_cached(&flat);
-        let value = cache.output().get(0, 0);
-        self.value
-            .backward(&cache, &Matrix::from_vec(1, 1, vec![coef(value)]));
+    fn value_and_grad(&mut self, obs: &Observation, mut coef: impl FnMut(f64) -> f64) -> f64 {
+        let mut value = 0.0;
+        self.values_and_grads(
+            0..1,
+            |_| obs,
+            |_, v| {
+                value = v;
+                coef(v)
+            },
+        );
         value
+    }
+
+    /// Stacks the valid rows of the chunk's observations, runs the policy
+    /// over them once, and backpropagates the per-segment softmax
+    /// gradients (plus the entropy bonus) once.
+    fn log_probs_and_grads<'o>(
+        &mut self,
+        chunk: Range<usize>,
+        sample: impl Fn(usize) -> (&'o Observation, usize),
+        mut coef: impl FnMut(usize, f64) -> f64,
+    ) {
+        let s = &mut self.scratch;
+        s.rows.reset(0, JOB_FEATURES);
+        s.slots.clear();
+        s.ends.clear();
+        for i in chunk.clone() {
+            push_valid_rows(sample(i).0, &mut s.slots, &mut s.rows);
+            s.ends.push(s.slots.len());
+        }
+        self.policy.forward_batch(&s.rows, &mut s.policy);
+        let (logits, grad) = s.policy.output_and_grad();
+        let mut lo = 0;
+        for (i, &hi) in chunk.zip(&s.ends) {
+            let action = sample(i).1;
+            let a = s.slots[lo..hi]
+                .binary_search(&action)
+                .unwrap_or_else(|_| panic!("gradient of masked action {action}"));
+            let dist = Softmax::new(&logits.data()[lo..hi]);
+            let log_prob = dist.log_prob(a);
+            let dlogits = &mut grad.data_mut()[lo..hi];
+            dist.log_prob_grad_into(a, coef(i, log_prob), dlogits);
+            if self.cfg.entropy_coef != 0.0 {
+                dist.add_entropy_grad(self.cfg.entropy_coef, dlogits);
+            }
+            lo = hi;
+        }
+        self.policy.backward_batch(&s.rows, &mut s.policy, &s.ends);
+    }
+
+    /// Runs the value network over the chunk's observations as one batch,
+    /// one row each, read in place.
+    fn values_and_grads<'o>(
+        &mut self,
+        chunk: Range<usize>,
+        obs: impl Fn(usize) -> &'o Observation,
+        mut coef: impl FnMut(usize, f64) -> f64,
+    ) {
+        let s = &mut self.scratch;
+        s.nz.clear();
+        s.nz_ends.clear();
+        s.ends.clear();
+        for (r, i) in chunk.clone().enumerate() {
+            push_nonzeros(&obs(i).features, &mut s.nz);
+            s.nz_ends.push(s.nz.len());
+            s.ends.push(r + 1);
+        }
+        let input = FlatRows {
+            obs: |r| obs(chunk.start + r),
+            nz: &s.nz,
+            ends: &s.nz_ends,
+        };
+        self.value.forward_batch(&input, &mut s.value);
+        let (values, grad) = s.value.output_and_grad();
+        for (r, i) in chunk.clone().enumerate() {
+            grad.set(r, 0, coef(i, values.get(r, 0)));
+        }
+        self.value.backward_batch(&input, &mut s.value, &s.ends);
     }
 
     fn policy_opt_step(&mut self) {
@@ -301,6 +487,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use tinynn::{entropy_grad_wrt_logits, log_prob_grad_wrt_logits};
 
     fn tiny_cfg() -> NetConfig {
         NetConfig {
@@ -609,36 +796,193 @@ pub(crate) mod tests {
         obs
     }
 
+    /// The composed reference pass of one of the agent's MLPs (ReLU hidden
+    /// layers, identity output) over `x`, in `tinynn`'s plain `Matrix`
+    /// ops, which share no code with the networks' fused kernels:
+    /// `matmul` → `add_row_broadcast` → activation forward, then
+    /// `hadamard(derivative)` → `transpose().matmul` / `col_sums` backward
+    /// from `dL/doutput = dout(output)`, each parameter gradient added to
+    /// `net`'s. Returns the output.
+    fn composed_pass(net: &mut Mlp, x: &Matrix, dout: impl FnOnce(&Matrix) -> Matrix) -> Matrix {
+        let mut pairs = net.params_and_grads_mut();
+        let n = pairs.len() / 2;
+        let act = |i: usize| {
+            if i + 1 == n {
+                Activation::Identity
+            } else {
+                Activation::Relu
+            }
+        };
+        let (mut pres, mut hs) = (Vec::new(), vec![x.clone()]);
+        for i in 0..n {
+            let pre = hs[i]
+                .matmul(pairs[2 * i].0)
+                .add_row_broadcast(pairs[2 * i + 1].0);
+            hs.push(act(i).forward(&pre));
+            pres.push(pre);
+        }
+        let out = hs.pop().expect("an MLP has layers");
+        let mut grad = dout(&out);
+        for i in (0..n).rev() {
+            grad = grad.hadamard(&act(i).derivative(&pres[i]));
+            let grad_w = hs[i].transpose().matmul(&grad);
+            pairs[2 * i].1.add_scaled_assign(&grad_w, 1.0);
+            pairs[2 * i + 1].1.add_scaled_assign(&grad.col_sums(), 1.0);
+            if i > 0 {
+                grad = grad.matmul(&pairs[2 * i].0.transpose());
+            }
+        }
+        out
+    }
+
     /// The dense reference: the policy kernel over every row of `obs`, the
     /// masked softmax and its gradient over all logits, and the backward
-    /// pass over every row. Returns `log π(action)`.
+    /// pass over every row, all in composed ops ([`composed_pass`]).
+    /// Returns `log π(action)`.
     fn dense_policy_grad(
         ac: &mut BackfillActorCritic,
         obs: &Observation,
         action: usize,
         coef: f64,
     ) -> f64 {
-        let cache = ac.policy.forward_cached(&obs.features);
-        let logits = cache.output().data();
-        let log_prob = MaskedCategorical::new(logits, &obs.mask).log_prob(action);
-        let mut dlogits = log_prob_grad_wrt_logits(logits, &obs.mask, action, coef);
-        if ac.cfg.entropy_coef != 0.0 {
-            let ent = entropy_grad_wrt_logits(logits, &obs.mask);
-            for (d, e) in dlogits.iter_mut().zip(ent) {
-                *d += ac.cfg.entropy_coef * e;
+        let entropy_coef = ac.cfg.entropy_coef;
+        let mut log_prob = 0.0;
+        composed_pass(&mut ac.policy, &obs.features, |out| {
+            let logits = out.data();
+            log_prob = MaskedCategorical::new(logits, &obs.mask).log_prob(action);
+            let mut dlogits = log_prob_grad_wrt_logits(logits, &obs.mask, action, coef);
+            if entropy_coef != 0.0 {
+                let ent = entropy_grad_wrt_logits(logits, &obs.mask);
+                for (d, e) in dlogits.iter_mut().zip(ent) {
+                    *d += entropy_coef * e;
+                }
             }
-        }
-        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
-        ac.policy.backward(&cache, &grad);
+            Matrix::from_vec(dlogits.len(), 1, dlogits)
+        });
         log_prob
     }
 
-    fn policy_grad_bits(ac: &BackfillActorCritic) -> Vec<u64> {
-        ac.policy
-            .grads()
+    /// The dense policy logits: the composed kernel over every row of
+    /// `obs`, masked rows included.
+    fn dense_logits(ac: &BackfillActorCritic, obs: &Observation) -> Vec<f64> {
+        let zeros = |out: &Matrix| Matrix::zeros(out.rows(), out.cols());
+        let out = composed_pass(&mut ac.policy.clone(), &obs.features, zeros);
+        out.data().to_vec()
+    }
+
+    fn grad_bits(net: &Mlp) -> Vec<u64> {
+        net.grads()
             .iter()
             .flat_map(|g| g.data().iter().map(|v| v.to_bits()))
             .collect()
+    }
+
+    fn policy_grad_bits(ac: &BackfillActorCritic) -> Vec<u64> {
+        grad_bits(&ac.policy)
+    }
+
+    /// The dense value reference: the value network over a flattened copy
+    /// of the whole observation, every zero included in the input, with
+    /// `coef · ∇V` accumulated in composed ops ([`composed_pass`]).
+    /// Returns `V(obs)`.
+    fn dense_value_grad(ac: &mut BackfillActorCritic, obs: &Observation, coef: f64) -> f64 {
+        let data = obs.features.data().to_vec();
+        let flat = Matrix::from_vec(1, data.len(), data);
+        let dout = |_: &Matrix| Matrix::from_vec(1, 1, vec![coef]);
+        composed_pass(&mut ac.value, &flat, dout).get(0, 0)
+    }
+
+    /// The differential test's observations, keyed by `case`: the masks
+    /// of [`masked_obs`] (cases 0–4; 1 and 2 give one-row segments),
+    /// about half of the zero features turned into `-0.0`, padding
+    /// included (5), and every row zero but the skip row (6).
+    fn edge_obs(case: usize, slots: usize, rng: &mut SmallRng) -> Observation {
+        match case {
+            5 => {
+                let mut obs = masked_obs(0, slots, rng);
+                for v in obs.features.data_mut() {
+                    if *v == 0.0 && rng.random_range(0..2) == 0 {
+                        *v = -0.0;
+                    }
+                }
+                obs
+            }
+            6 => {
+                let mut obs = masked_obs(4, slots, rng);
+                obs.features.data_mut()[..slots * JOB_FEATURES].fill(0.0);
+                obs
+            }
+            _ => masked_obs(case, slots, rng),
+        }
+    }
+
+    /// One chunk call of each network is bit-identical to the dense
+    /// per-sample passes run on a zeroed copy and merged back once:
+    /// log-probabilities, values, and both networks' gradients, added to
+    /// gradients the agent already holds. Chunks of 1 to 300 samples, 1
+    /// to 128 slots, entropy bonus off, positive and negative.
+    #[test]
+    fn chunk_passes_match_per_sample_dense_reference_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        for slots in 1..=128 {
+            let n = [1, 2, 127, 128, 129, 300][(slots / 3) % 6];
+            let cfg = NetConfig {
+                obs: ObsConfig {
+                    max_obsv_size: slots,
+                },
+                entropy_coef: [0.0, 0.01, -0.02][slots % 3],
+                ..NetConfig::default()
+            };
+            let mut ac = BackfillActorCritic::new(cfg, slots as u64);
+            let obs: Vec<Observation> = (0..n).map(|i| edge_obs(i % 7, slots, &mut rng)).collect();
+            let actions: Vec<usize> = obs
+                .iter()
+                .map(|o| {
+                    let valid: Vec<usize> = (0..o.mask.len()).filter(|&s| o.mask[s]).collect();
+                    valid[rng.random_range(0..valid.len())]
+                })
+                .collect();
+            let coefs: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+            ac.accumulate_policy_grad(&obs[0], actions[0], 0.3);
+            ac.accumulate_value_grad(&obs[0], 0.3);
+
+            let mut reference = ac.clone();
+            let mut worker = ac.clone();
+            worker.zero_grads();
+            let (mut log_probs, mut values) = (Vec::new(), Vec::new());
+            for i in 0..n {
+                let lp = dense_policy_grad(&mut worker, &obs[i], actions[i], coefs[i]);
+                log_probs.push(lp.to_bits());
+                values.push(dense_value_grad(&mut worker, &obs[i], coefs[i]).to_bits());
+            }
+            reference.merge_grads_from(&worker);
+
+            let (mut got_log_probs, mut got_values) = (Vec::new(), Vec::new());
+            ac.log_probs_and_grads(
+                0..n,
+                |i| (&obs[i], actions[i]),
+                |i, lp| {
+                    got_log_probs.push(lp.to_bits());
+                    coefs[i]
+                },
+            );
+            ac.values_and_grads(
+                0..n,
+                |i| &obs[i],
+                |i, v| {
+                    got_values.push(v.to_bits());
+                    coefs[i]
+                },
+            );
+            let at = format!("slots {slots}, chunk {n}");
+            assert_eq!(got_log_probs, log_probs, "{at}");
+            assert_eq!(got_values, values, "{at}");
+            assert_eq!(grad_bits(&ac.policy), grad_bits(&reference.policy), "{at}");
+            assert_eq!(grad_bits(&ac.value), grad_bits(&reference.value), "{at}");
+            for (o, &v) in obs.iter().zip(&values) {
+                assert_eq!(ac.value_of(o).to_bits(), v, "{at}");
+            }
+        }
     }
 
     /// Evaluating the valid rows only is bit-identical to the dense pass
@@ -662,7 +1006,7 @@ pub(crate) mod tests {
             let mut dense = ac.clone();
             for case in 0..5 {
                 let obs = masked_obs(case, slots, &mut rng);
-                let dense_logits = ac.policy.forward(&obs.features).data().to_vec();
+                let dense_logits = dense_logits(&ac, &obs);
                 let reference = MaskedCategorical::new(&dense_logits, &obs.mask);
                 let dist = ac.distribution(&obs);
                 let logits = ac.logits(&obs);
@@ -706,6 +1050,20 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// The slot limit is the widest observation whose flattened positions
+    /// fit `u16`, and one slot more is refused up front.
+    #[test]
+    #[should_panic(expected = "max_obsv_size 5461 exceeds the supported 5460 slots")]
+    fn observations_too_wide_for_u16_positions_are_refused() {
+        let width = |slots: usize| (slots + 1) * JOB_FEATURES;
+        assert!(width(MAX_SUPPORTED_OBSV_SIZE) <= 1 << 16);
+        assert!(width(MAX_SUPPORTED_OBSV_SIZE + 1) > 1 << 16);
+        let obs = ObsConfig {
+            max_obsv_size: MAX_SUPPORTED_OBSV_SIZE + 1,
+        };
+        BackfillActorCritic::new(NetConfig { obs, ..tiny_cfg() }, 0);
     }
 
     #[test]

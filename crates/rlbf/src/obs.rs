@@ -22,10 +22,16 @@ pub const JOB_FEATURES: usize = 12;
 /// the same order of magnitude").
 pub const DEFAULT_MAX_OBSV_SIZE: usize = 128;
 
+/// The largest `max_obsv_size` the agent accepts (5460). The value
+/// network indexes the nonzero entries of its flattened input,
+/// `(max_obsv_size + 1) · JOB_FEATURES` of them, with `u16` positions.
+pub const MAX_SUPPORTED_OBSV_SIZE: usize = (1 << 16) / JOB_FEATURES - 1;
+
 /// Observation-encoding configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
-    /// Maximum number of job slots (`MAX_OBSV_SIZE`).
+    /// Maximum number of job slots (`MAX_OBSV_SIZE`); an agent takes at
+    /// most [`MAX_SUPPORTED_OBSV_SIZE`].
     pub max_obsv_size: usize,
 }
 

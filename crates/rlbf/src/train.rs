@@ -5,8 +5,9 @@
 //! sampling policy, merge into a GAE buffer, then run the PPO-clip update
 //! (80 policy + 80 value iterations by default, learning rate 1e-3, as in
 //! the paper). Every gradient step — the imitation passes and both PPO
-//! phases — sums its samples through [`ppo::accumulate_chunked`]: fixed
-//! chunks of [`ppo::GRAD_CHUNK`] samples merged in chunk order. One agent
+//! phases — hands its samples to the networks through
+//! [`ppo::accumulate_chunked`]: fixed chunks of [`ppo::GRAD_CHUNK`]
+//! samples, each run as one batched pass and added in chunk order. One agent
 //! trains on one thread and depends on its seed alone; independent agents
 //! run in parallel through [`desim::Replicator`] (see
 //! [`crate::scenario::train_sweep`]).
@@ -225,9 +226,18 @@ pub fn pretrain_imitation(
     ac.reset_policy_optimizer(cfg.pretrain_lr);
     let n = data.len() as f64;
     let mut ce = 0.0;
+    let mut log_probs = Vec::with_capacity(data.len());
     for _ in 0..passes {
-        let log_probs = accumulate_chunked(ac, data.len(), |w, i| {
-            w.log_prob_and_grad(&data[i].0, data[i].1, |_| 1.0 / n)
+        log_probs.clear();
+        accumulate_chunked(data.len(), |chunk| {
+            ac.log_probs_and_grads(
+                chunk,
+                |i| (&data[i].0, data[i].1),
+                |_, lp| {
+                    log_probs.push(lp);
+                    1.0 / n
+                },
+            )
         });
         ce = -log_probs.iter().sum::<f64>() / n;
         ac.policy_opt_step();

@@ -116,7 +116,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Activation, Mlp};
+    use crate::layer::{Activation, Mlp, MlpScratch};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -169,10 +169,10 @@ mod tests {
         let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let t = [0.0, 1.0, 1.0, 0.0];
         let mut final_loss = f64::INFINITY;
+        let mut scratch = MlpScratch::default();
         for _ in 0..400 {
-            let cache = mlp.forward_cached(&x);
-            let y = cache.output();
-            let mut grad = Matrix::zeros(4, 1);
+            mlp.forward_batch(&x, &mut scratch);
+            let (y, grad) = scratch.output_and_grad();
             let mut loss = 0.0;
             for (i, target) in t.iter().enumerate() {
                 let d = y.get(i, 0) - target;
@@ -181,7 +181,7 @@ mod tests {
             }
             final_loss = loss / 4.0;
             mlp.zero_grad();
-            mlp.backward(&cache, &grad);
+            mlp.backward_batch(&x, &mut scratch, &[4]);
             adam.step(mlp.params_and_grads_mut());
         }
         assert!(final_loss < 0.01, "XOR did not converge: loss {final_loss}");

@@ -5,32 +5,93 @@
 //! (paper §3.2: "a mask to make sure the RL agent will never pick this
 //! job"). During training actions are *sampled* for exploration; during
 //! evaluation the argmax is taken (paper §3.3.1).
+//!
+//! The masked functions are the reference. [`Softmax`] is the same
+//! arithmetic over a slice whose every entry is valid, read in place: a
+//! caller that has already dropped the masked slots (`rlbf`'s policy)
+//! builds no mask and no log-probability vector, and gets the same bits.
 
 use rand::Rng;
+
+/// `log Σ exp(l)` over the valid logits, computed stably around their
+/// maximum. Panics if there is none.
+fn log_normalizer(valid: impl Iterator<Item = f64> + Clone) -> f64 {
+    let max = valid.clone().fold(f64::NEG_INFINITY, f64::max);
+    assert!(
+        max.is_finite(),
+        "masked_log_softmax requires at least one valid action"
+    );
+    valid.map(|l| (l - max).exp()).sum::<f64>().ln() + max
+}
+
+/// The probability of a log-probability; masked slots (`-inf`) get 0.
+fn prob(log_prob: f64) -> f64 {
+    if log_prob.is_finite() {
+        log_prob.exp()
+    } else {
+        0.0
+    }
+}
+
+/// Inverse-CDF sample of `u ∈ [0, 1)` over the log-probabilities.
+fn sample_index(log_probs: impl Iterator<Item = f64>, u: f64) -> usize {
+    let mut acc = 0.0;
+    let mut last_valid = 0;
+    for (i, lp) in log_probs.enumerate() {
+        if lp.is_finite() {
+            last_valid = i;
+            acc += lp.exp();
+            if u < acc {
+                return i;
+            }
+        }
+    }
+    // Floating-point slack: fall back to the last valid slot.
+    last_valid
+}
+
+/// The index of the largest log-probability (the last of equals).
+fn argmax_index(log_probs: impl Iterator<Item = f64>) -> usize {
+    log_probs
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
+        .expect("distribution has at least one slot")
+}
+
+/// Shannon entropy in nats (masked slots contribute zero).
+fn entropy_of(log_probs: impl Iterator<Item = f64>) -> f64 {
+    -log_probs
+        .filter(|lp| lp.is_finite())
+        .map(|lp| lp.exp() * lp)
+        .sum::<f64>()
+}
+
+/// `d(coef · log π(action))/dl_i` on a valid slot with probability `p`.
+fn log_prob_grad(p: f64, is_action: bool, coef: f64) -> f64 {
+    if is_action {
+        coef * (1.0 - p)
+    } else {
+        -coef * p
+    }
+}
+
+/// `dH/dl_i = −π_i (log π_i + H)`; 0 on masked slots.
+fn entropy_grad(log_prob: f64, entropy: f64) -> f64 {
+    if log_prob.is_finite() {
+        -log_prob.exp() * (log_prob + entropy)
+    } else {
+        0.0
+    }
+}
 
 /// Log-probabilities of a masked softmax over `logits`.
 ///
 /// Masked entries get `f64::NEG_INFINITY`. Panics if no entry is valid.
 pub fn masked_log_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
     assert_eq!(logits.len(), mask.len(), "mask length mismatch");
-    let max = logits
-        .iter()
-        .zip(mask)
-        .filter(|(_, &m)| m)
-        .map(|(&l, _)| l)
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        max.is_finite(),
-        "masked_log_softmax requires at least one valid action"
-    );
-    let log_z = logits
-        .iter()
-        .zip(mask)
-        .filter(|(_, &m)| m)
-        .map(|(&l, _)| (l - max).exp())
-        .sum::<f64>()
-        .ln()
-        + max;
+    let valid = logits.iter().zip(mask).filter(|(_, &m)| m).map(|(&l, _)| l);
+    let log_z = log_normalizer(valid);
     logits
         .iter()
         .zip(mask)
@@ -42,7 +103,7 @@ pub fn masked_log_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
 pub fn masked_softmax(logits: &[f64], mask: &[bool]) -> Vec<f64> {
     masked_log_softmax(logits, mask)
         .into_iter()
-        .map(|lp| if lp.is_finite() { lp.exp() } else { 0.0 })
+        .map(prob)
         .collect()
 }
 
@@ -72,10 +133,7 @@ impl MaskedCategorical {
 
     /// Probability vector (masked slots are exactly 0).
     pub fn probs(&self) -> Vec<f64> {
-        self.log_probs
-            .iter()
-            .map(|&lp| if lp.is_finite() { lp.exp() } else { 0.0 })
-            .collect()
+        self.log_probs.iter().map(|&lp| prob(lp)).collect()
     }
 
     /// Log-probability of `action`; `-inf` for masked slots.
@@ -85,40 +143,79 @@ impl MaskedCategorical {
 
     /// Samples an action by inverse CDF (training-time exploration).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random_range(0.0..1.0);
-        let mut acc = 0.0;
-        let mut last_valid = 0;
-        for (i, &lp) in self.log_probs.iter().enumerate() {
-            if lp.is_finite() {
-                last_valid = i;
-                acc += lp.exp();
-                if u < acc {
-                    return i;
-                }
-            }
-        }
-        // Floating-point slack: fall back to the last valid slot.
-        last_valid
+        sample_index(self.log_probs.iter().copied(), rng.random_range(0.0..1.0))
     }
 
     /// The highest-probability action (evaluation-time greedy choice).
     pub fn argmax(&self) -> usize {
-        self.log_probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("distribution has at least one slot")
+        argmax_index(self.log_probs.iter().copied())
     }
 
     /// Shannon entropy in nats (masked slots contribute zero).
     pub fn entropy(&self) -> f64 {
-        -self
-            .log_probs
-            .iter()
-            .filter(|lp| lp.is_finite())
-            .map(|&lp| lp.exp() * lp)
-            .sum::<f64>()
+        entropy_of(self.log_probs.iter().copied())
+    }
+}
+
+/// The softmax over every entry of `logits`, read in place: bit for bit
+/// a [`MaskedCategorical`] with an all-true mask, without the mask or the
+/// log-probability vector.
+#[derive(Debug, Clone, Copy)]
+pub struct Softmax<'a> {
+    logits: &'a [f64],
+    log_z: f64,
+}
+
+impl<'a> Softmax<'a> {
+    /// The distribution over `logits`; panics if there are none.
+    pub fn new(logits: &'a [f64]) -> Self {
+        Self {
+            logits,
+            log_z: log_normalizer(logits.iter().copied()),
+        }
+    }
+
+    /// Log-probability of `action`.
+    pub fn log_prob(&self, action: usize) -> f64 {
+        self.logits[action] - self.log_z
+    }
+
+    fn log_probs(&self) -> impl Iterator<Item = f64> + '_ {
+        self.logits.iter().map(|&l| l - self.log_z)
+    }
+
+    /// Samples an action by inverse CDF.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        sample_index(self.log_probs(), rng.random_range(0.0..1.0))
+    }
+
+    /// The highest-probability action.
+    pub fn argmax(&self) -> usize {
+        argmax_index(self.log_probs())
+    }
+
+    /// Shannon entropy in nats.
+    pub fn entropy(&self) -> f64 {
+        entropy_of(self.log_probs())
+    }
+
+    /// Writes `d(coef · log π(action))/dlogits` into `out`, as
+    /// [`log_prob_grad_wrt_logits`] computes it.
+    pub fn log_prob_grad_into(&self, action: usize, coef: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.logits.len(), "gradient length mismatch");
+        for (i, (o, lp)) in out.iter_mut().zip(self.log_probs()).enumerate() {
+            *o = log_prob_grad(prob(lp), i == action, coef);
+        }
+    }
+
+    /// Adds `coef · dH/dlogits` to `out`, with the gradient as
+    /// [`entropy_grad_wrt_logits`] computes it.
+    pub fn add_entropy_grad(&self, coef: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.logits.len(), "gradient length mismatch");
+        let entropy = self.entropy();
+        for (o, lp) in out.iter_mut().zip(self.log_probs()) {
+            *o += coef * entropy_grad(lp, entropy);
+        }
     }
 }
 
@@ -139,12 +236,10 @@ pub fn log_prob_grad_wrt_logits(
         .iter()
         .enumerate()
         .map(|(i, &p)| {
-            if !mask[i] {
-                0.0
-            } else if i == action {
-                coef * (1.0 - p)
+            if mask[i] {
+                log_prob_grad(p, i == action, coef)
             } else {
-                -coef * p
+                0.0
             }
         })
         .collect()
@@ -155,20 +250,10 @@ pub fn log_prob_grad_wrt_logits(
 /// the optional entropy bonus in the PPO policy update.
 pub fn entropy_grad_wrt_logits(logits: &[f64], mask: &[bool]) -> Vec<f64> {
     let log_probs = masked_log_softmax(logits, mask);
-    let entropy = -log_probs
-        .iter()
-        .filter(|lp| lp.is_finite())
-        .map(|&lp| lp.exp() * lp)
-        .sum::<f64>();
+    let entropy = entropy_of(log_probs.iter().copied());
     log_probs
         .iter()
-        .map(|&lp| {
-            if lp.is_finite() {
-                -lp.exp() * (lp + entropy)
-            } else {
-                0.0
-            }
-        })
+        .map(|&lp| entropy_grad(lp, entropy))
         .collect()
 }
 

@@ -6,16 +6,28 @@
 //! `tests/gradcheck.rs`). Gradients accumulate into each layer's `grad_*`
 //! buffers until an optimizer consumes them.
 //!
+//! Training runs in chunks. [`Mlp::forward_batch`] takes a batch that
+//! stacks the rows of many samples and keeps every layer's output in an
+//! [`MlpScratch`]; the caller writes `dL/doutput` next to the output, and
+//! [`Mlp::backward_batch`] runs one backward pass per layer, summing the
+//! parameter gradients per sample (a *segment* of rows). The chunk sums
+//! into the scratch's zeroed buffers, which are added to the gradients
+//! once at the end: the arithmetic of one per-sample call after another
+//! on a zeroed copy of the network, merged back. A chunk of one segment
+//! runs the same way and adds the bits a direct accumulation would, since
+//! `0 + t = t` and a gradient is never `-0.0`.
+//!
 //! The passes run on the fused kernels of [`crate::matrix`] and are
 //! **bit-identical** to the composed reference — `matmul` →
 //! `add_row_broadcast` → [`Activation::forward`] forward;
 //! `hadamard(`[`Activation::derivative`]`)` → `transpose().matmul` /
-//! `col_sums` backward — which `tests/proptest_nn.rs` checks bit for bit.
-//! The cache keeps only each layer's output: the activation derivative is
-//! read off the output (ReLU: `out > 0`; tanh: `1 − out²`). Nothing
-//! consumes the input gradient of the first layer during training, so
-//! [`Mlp::backward`] does not compute it; [`Mlp::backward_with_input_grad`]
-//! does.
+//! `col_sums` backward, once per segment — which `tests/proptest_nn.rs`
+//! checks bit for bit. The scratch keeps only each layer's output: the
+//! activation derivative is read off the output (ReLU: `out > 0`; tanh:
+//! `1 − out²`). Each backward pass transposes each weight matrix once,
+//! however many samples the chunk holds. The first layer reads its input
+//! only through [`BatchInput`], so a caller can feed rows held in place
+//! elsewhere (`rlbf`'s value network reads observations that way).
 
 use crate::matrix::Matrix;
 use rand::Rng;
@@ -101,28 +113,15 @@ impl Linear {
 
     /// Forward pass for a batch `x` (`batch × in`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_with(x, Activation::Identity)
-    }
-
-    /// Forward pass with `act` applied: `act(x·W + b)`, one allocation.
-    pub(crate) fn forward_with(&self, x: &Matrix, act: Activation) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        act.add_bias_apply(&mut y, &self.b);
+        let mut y = Matrix::default();
+        self.forward_into(x, Activation::Identity, &mut y);
         y
     }
 
-    /// Given the layer input `x` and `dL/dy`, accumulates `dL/dW = xᵀ·dL/dy`
-    /// and `dL/db` (the column sums of `dL/dy`).
-    pub fn accumulate_grads(&mut self, x: &Matrix, grad_out: &Matrix) {
-        self.grad_w.add_transposed_matmul_assign(x, grad_out);
-        self.grad_b.add_col_sums_assign(grad_out);
-    }
-
-    /// `dL/dx = dL/dy · Wᵀ`. Transposing `W` first lets the product run
-    /// row-contiguous: over a 65-row batch that is about twice as fast as
-    /// dot products in the same summation order.
-    pub fn input_grad(&self, grad_out: &Matrix) -> Matrix {
-        grad_out.matmul(&self.w.transpose())
+    /// `y ← act(x·W + b)`, reusing `y`'s allocation.
+    fn forward_into(&self, x: &impl BatchInput, act: Activation, y: &mut Matrix) {
+        x.matmul_into(&self.w, y);
+        act.add_bias_apply(y, &self.b);
     }
 
     /// Clears accumulated gradients.
@@ -132,27 +131,84 @@ impl Linear {
     }
 }
 
-/// Intermediate state of one MLP forward pass, consumed by `backward`.
-#[derive(Debug, Clone)]
-pub struct MlpCache<'x> {
-    /// The network input.
-    input: &'x Matrix,
-    /// Every layer's post-activation output; the last is the network's.
-    outputs: Vec<Matrix>,
+/// The rows a network's first layer reads. The layer touches its input
+/// only through these two products, so the rows may live anywhere: in a
+/// dense [`Matrix`], or read in place from a caller's own structures.
+/// An implementation must sum like [`Matrix::matmul_into`] and
+/// [`Matrix::add_segmented_transposed_matmul_assign`] on the dense rows.
+pub trait BatchInput {
+    /// `out ← self · w`, reusing `out`'s allocation.
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix);
+    /// `acc += selfᵀ · g`, summed per segment (`ends` as in
+    /// [`Matrix::add_segmented_transposed_matmul_assign`]).
+    fn add_transposed_matmul_to(&self, g: &Matrix, ends: &[usize], acc: &mut Matrix);
 }
 
-impl MlpCache<'_> {
-    /// The network output.
-    pub fn output(&self) -> &Matrix {
-        self.outputs.last().expect("an MLP has at least one layer")
+impl BatchInput for Matrix {
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix) {
+        Matrix::matmul_into(self, w, out);
     }
 
-    /// The input of layer `i`.
-    fn layer_input(&self, i: usize) -> &Matrix {
-        if i == 0 {
-            self.input
-        } else {
-            &self.outputs[i - 1]
+    fn add_transposed_matmul_to(&self, g: &Matrix, ends: &[usize], acc: &mut Matrix) {
+        acc.add_segmented_transposed_matmul_assign(self, g, ends);
+    }
+}
+
+/// The reusable buffers of [`Mlp`] batch passes: every layer's output of
+/// the last forward pass, the backward pass's running gradient and
+/// transposed weights, and one chunk's parameter-gradient sums. Reusing
+/// one scratch makes a training step allocate nothing once the buffers
+/// have grown to the largest chunk. It holds no state between a backward
+/// pass and the next forward pass.
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    /// Every layer's output; the last is the network's.
+    outputs: Vec<Matrix>,
+    /// `dL/doutput` on entry to the backward pass, then the gradient with
+    /// respect to each layer's pre-activation in turn.
+    grad: Matrix,
+    /// The next layer down's gradient, swapped into `grad`.
+    next: Matrix,
+    /// The current layer's `Wᵀ`.
+    w_t: Matrix,
+    /// Per layer: the chunk's weight and bias gradient sums, zero between
+    /// chunks.
+    sums: Vec<(Matrix, Matrix)>,
+}
+
+impl MlpScratch {
+    /// The network output of the last forward pass.
+    pub fn output(&self) -> &Matrix {
+        self.outputs.last().expect("no forward pass yet")
+    }
+
+    /// The network output of the last forward pass, and a zeroed matrix
+    /// of its shape to write `dL/doutput` into for the backward pass.
+    pub fn output_and_grad(&mut self) -> (&Matrix, &mut Matrix) {
+        let out = self.outputs.last().expect("no forward pass yet");
+        self.grad.reset(out.rows(), out.cols());
+        (out, &mut self.grad)
+    }
+}
+
+/// `grad += sums`, then `sums ← 0`, row by row. A row of `sums` that is
+/// all `+0.0` (every row the chunk did not touch) is skipped: adding
+/// `+0.0` leaves a gradient unchanged, since a gradient summed from
+/// `+0.0` is never `-0.0`. The value network's wide first layer has few
+/// touched rows per chunk.
+fn add_and_clear(grad: &mut Matrix, sums: &mut Matrix) {
+    if sums.cols() == 0 {
+        return;
+    }
+    let cols = sums.cols();
+    let rows = grad.data_mut().chunks_exact_mut(cols);
+    for (g, s) in rows.zip(sums.data_mut().chunks_exact_mut(cols)) {
+        if s.iter().fold(0, |any, v| any | v.to_bits()) == 0 {
+            continue;
+        }
+        for (g, s) in g.iter_mut().zip(s.iter_mut()) {
+            *g += *s;
+            *s = 0.0;
         }
     }
 }
@@ -203,56 +259,74 @@ impl Mlp {
     }
 
     /// Inference-only forward pass.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward_with(x, self.activation_at(0));
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            h = layer.forward_with(&h, self.activation_at(i));
+    pub fn forward(&self, x: &impl BatchInput) -> Matrix {
+        let mut s = MlpScratch::default();
+        self.forward_batch(x, &mut s);
+        s.outputs.pop().expect("an MLP has at least one layer")
+    }
+
+    /// Forward pass over a batch, keeping every layer's output in `s` for
+    /// [`Self::backward_batch`]; the output is [`MlpScratch::output`].
+    pub fn forward_batch(&self, x: &impl BatchInput, s: &mut MlpScratch) {
+        s.outputs.resize_with(self.layers.len(), Matrix::default);
+        let (first, rest) = s.outputs.split_at_mut(1);
+        self.layers[0].forward_into(x, self.activation_at(0), &mut first[0]);
+        let mut input = &first[0];
+        for (i, out) in rest.iter_mut().enumerate() {
+            self.layers[i + 1].forward_into(input, self.activation_at(i + 1), out);
+            input = out;
         }
-        h
     }
 
-    /// Forward pass retaining the cache needed for [`Self::backward`]; the
-    /// output is [`MlpCache::output`].
-    pub fn forward_cached<'x>(&self, x: &'x Matrix) -> MlpCache<'x> {
-        let mut cache = MlpCache {
-            input: x,
-            outputs: Vec::with_capacity(self.layers.len()),
-        };
-        for (i, layer) in self.layers.iter().enumerate() {
-            let h = layer.forward_with(cache.layer_input(i), self.activation_at(i));
-            cache.outputs.push(h);
+    /// Backward pass after [`Self::forward_batch`] on the same `x` and
+    /// `s`, from the `dL/doutput` written through
+    /// [`MlpScratch::output_and_grad`]: accumulates every parameter
+    /// gradient, summed per segment of rows (`ends` as in
+    /// [`Matrix::add_segmented_transposed_matmul_assign`], one segment
+    /// per sample). The segments sum into the scratch's zeroed buffers
+    /// first, which are added to the gradients once; the input gradient
+    /// is left for [`Self::input_grad`].
+    pub fn backward_batch(&mut self, x: &impl BatchInput, s: &mut MlpScratch, ends: &[usize]) {
+        assert_eq!(
+            s.grad.shape(),
+            s.output().shape(),
+            "write dL/doutput through output_and_grad first"
+        );
+        if s.sums.len() != self.layers.len() {
+            s.sums = self
+                .layers
+                .iter()
+                .map(|l| {
+                    let (w, b) = (l.grad_w.shape(), l.grad_b.shape());
+                    (Matrix::zeros(w.0, w.1), Matrix::zeros(b.0, b.1))
+                })
+                .collect();
         }
-        cache
-    }
-
-    /// Backward pass from `dL/doutput`: accumulates every parameter
-    /// gradient. The input gradient is not computed; see
-    /// [`Self::backward_with_input_grad`].
-    pub fn backward(&mut self, cache: &MlpCache, grad_out: &Matrix) {
-        self.backprop(cache, grad_out);
-    }
-
-    /// [`Self::backward`] that also returns `dL/dinput`.
-    pub fn backward_with_input_grad(&mut self, cache: &MlpCache, grad_out: &Matrix) -> Matrix {
-        let grad = self.backprop(cache, grad_out);
-        self.layers[0].input_grad(&grad)
-    }
-
-    /// The one backprop loop: accumulates every layer's parameter
-    /// gradients and returns `dL/d(pre-activation)` of the first layer,
-    /// from which [`Self::backward_with_input_grad`] takes the input
-    /// gradient.
-    fn backprop(&mut self, cache: &MlpCache, grad_out: &Matrix) -> Matrix {
-        let mut grad = grad_out.clone();
         for i in (0..self.layers.len()).rev() {
             self.activation_at(i)
-                .scale_by_derivative(&mut grad, &cache.outputs[i]);
-            self.layers[i].accumulate_grads(cache.layer_input(i), &grad);
+                .scale_by_derivative(&mut s.grad, &s.outputs[i]);
+            let (grad_w, grad_b) = &mut s.sums[i];
+            if i == 0 {
+                x.add_transposed_matmul_to(&s.grad, ends, grad_w);
+            } else {
+                grad_w.add_segmented_transposed_matmul_assign(&s.outputs[i - 1], &s.grad, ends);
+            }
+            grad_b.add_segmented_col_sums_assign(&s.grad, ends);
             if i > 0 {
-                grad = self.layers[i].input_grad(&grad);
+                self.layers[i].w.transpose_into(&mut s.w_t);
+                s.grad.matmul_into(&s.w_t, &mut s.next);
+                std::mem::swap(&mut s.grad, &mut s.next);
             }
         }
-        grad
+        for (layer, (w, b)) in self.layers.iter_mut().zip(&mut s.sums) {
+            add_and_clear(&mut layer.grad_w, w);
+            add_and_clear(&mut layer.grad_b, b);
+        }
+    }
+
+    /// `dL/dinput` of the last [`Self::backward_batch`] on `s`.
+    pub fn input_grad(&self, s: &MlpScratch) -> Matrix {
+        s.grad.matmul(&self.layers[0].w.transpose())
     }
 
     /// Clears all accumulated gradients.
@@ -272,8 +346,7 @@ impl Mlp {
     }
 
     /// Read-only views of the accumulated gradients, in the same order as
-    /// [`Self::params_and_grads_mut`] — used to merge worker gradients in
-    /// parallel updates.
+    /// [`Self::params_and_grads_mut`].
     pub fn grads(&self) -> Vec<&Matrix> {
         self.layers
             .iter()
@@ -354,17 +427,72 @@ mod tests {
         assert!(y.data().iter().all(|&v| v == 0.0));
     }
 
+    /// Accumulates the gradients of `L = sum(output)` over the batch `x`
+    /// as one segment; returns `dL/dx`.
+    fn backward_ones(mlp: &mut Mlp, x: &Matrix) -> Matrix {
+        let mut s = MlpScratch::default();
+        mlp.forward_batch(x, &mut s);
+        s.output_and_grad().1.data_mut().fill(1.0);
+        mlp.backward_batch(x, &mut s, &[x.rows()]);
+        mlp.input_grad(&s)
+    }
+
+    /// A chunk of several segments adds the same bits as one backward
+    /// pass per segment on a zeroed copy, merged back in order.
+    #[test]
+    fn segmented_backward_matches_per_segment_passes_merged() {
+        let mut mlp = Mlp::new(
+            &[3, 5, 2],
+            Activation::Tanh,
+            Activation::Identity,
+            &mut rng(),
+        );
+        mlp.layers[1].grad_w.data_mut()[0] = 0.3; // gradients already held
+        let x = Matrix::from_vec(5, 3, (0..15).map(|i| (i as f64 * 0.7).sin()).collect());
+        let ends = [2, 2, 3, 5];
+        let mut chunked = mlp.clone();
+        let mut s = MlpScratch::default();
+        chunked.forward_batch(&x, &mut s);
+        let (out, grad) = s.output_and_grad();
+        for (g, &o) in grad.data_mut().iter_mut().zip(out.data()) {
+            *g = o * 1e3 - 0.1;
+        }
+        let grad_out = grad.clone();
+        chunked.backward_batch(&x, &mut s, &ends);
+
+        let mut worker = mlp.clone();
+        worker.zero_grad();
+        let mut lo = 0;
+        for &hi in &ends {
+            let rows = |m: &Matrix| {
+                let mut seg = Matrix::zeros(0, m.cols());
+                (lo..hi).for_each(|r| seg.push_row(m.row_slice(r)));
+                seg
+            };
+            let (xs, gs) = (rows(&x), rows(&grad_out));
+            let mut s = MlpScratch::default();
+            worker.forward_batch(&xs, &mut s);
+            *s.output_and_grad().1 = gs;
+            worker.backward_batch(&xs, &mut s, &[hi - lo]);
+            lo = hi;
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let held = mlp.grads();
+        for (k, (got, w)) in chunked.grads().into_iter().zip(worker.grads()).enumerate() {
+            let mut merged = held[k].clone();
+            merged.add_scaled_assign(w, 1.0);
+            assert_eq!(bits(got), bits(&merged), "parameter {k}");
+        }
+    }
+
     /// Central finite-difference check of dL/dparam for L = sum(output).
     fn grad_check(hidden: Activation, out: Activation) {
         let mut mlp = Mlp::new(&[3, 5, 2], hidden, out, &mut rng());
         let x = Matrix::from_vec(4, 3, (0..12).map(|i| (i as f64) * 0.1 - 0.5).collect());
 
         // Analytic gradients for L = sum of outputs.
-        let cache = mlp.forward_cached(&x);
-        let (rows, cols) = cache.output().shape();
-        let ones = Matrix::from_vec(rows, cols, vec![1.0; rows * cols]);
         mlp.zero_grad();
-        mlp.backward(&cache, &ones);
+        backward_ones(&mut mlp, &x);
 
         let eps = 1e-6;
         for li in 0..2 {
@@ -420,10 +548,7 @@ mod tests {
             &mut rng(),
         );
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.4, -0.5, 0.6]);
-        let cache = mlp.forward_cached(&x);
-        let (rows, cols) = cache.output().shape();
-        let ones = Matrix::from_vec(rows, cols, vec![1.0; rows * cols]);
-        let grad_in = mlp.backward_with_input_grad(&cache, &ones);
+        let grad_in = backward_ones(&mut mlp, &x);
 
         let eps = 1e-6;
         for idx in 0..x.data().len() {
@@ -449,11 +574,9 @@ mod tests {
             &mut rng(),
         );
         let x = Matrix::row(vec![1.0, 2.0]);
-        let g = Matrix::row(vec![1.0, 1.0]);
-        let cache = mlp.forward_cached(&x);
-        mlp.backward(&cache, &g);
+        backward_ones(&mut mlp, &x);
         let once = mlp.layers[0].grad_w.clone();
-        mlp.backward(&cache, &g);
+        backward_ones(&mut mlp, &x);
         let twice = mlp.layers[0].grad_w.clone();
         assert_eq!(twice, once.scale(2.0));
         mlp.zero_grad();

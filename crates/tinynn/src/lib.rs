@@ -6,7 +6,7 @@
 //! masked categorical action distributions, and the [`Adam`] optimizer.
 //!
 //! ```
-//! use tinynn::{Activation, AdamConfig, Adam, Matrix, Mlp};
+//! use tinynn::{Activation, AdamConfig, Adam, Matrix, Mlp, MlpScratch};
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
@@ -15,10 +15,12 @@
 //! let mut opt = Adam::new(AdamConfig::with_lr(1e-3));
 //!
 //! let x = Matrix::zeros(8, 4);
-//! let cache = net.forward_cached(&x);
-//! assert_eq!(cache.output().shape(), (8, 1));
-//! let grad = Matrix::from_vec(8, 1, vec![1.0; 8]); // dL/dy
-//! net.backward(&cache, &grad);
+//! let mut scratch = MlpScratch::default();
+//! net.forward_batch(&x, &mut scratch);
+//! let (y, grad) = scratch.output_and_grad();
+//! assert_eq!(y.shape(), (8, 1));
+//! grad.data_mut().fill(1.0); // dL/dy
+//! net.backward_batch(&x, &mut scratch, &[8]); // one segment of 8 rows
 //! opt.step(net.params_and_grads_mut());
 //! ```
 
@@ -30,7 +32,7 @@ pub mod matrix;
 pub use adam::{Adam, AdamConfig};
 pub use dist::{
     entropy_grad_wrt_logits, log_prob_grad_wrt_logits, masked_log_softmax, masked_softmax,
-    MaskedCategorical,
+    MaskedCategorical, Softmax,
 };
-pub use layer::{Activation, Linear, Mlp, MlpCache};
+pub use layer::{Activation, BatchInput, Linear, Mlp, MlpScratch};
 pub use matrix::Matrix;

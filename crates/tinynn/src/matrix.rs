@@ -6,14 +6,23 @@
 //!
 //! Two kinds of operation live here. The composed ops (`matmul`,
 //! `transpose`, `add_row_broadcast`, `col_sums`, `hadamard`, ...) each
-//! return a fresh matrix; they are the readable reference. The fused
-//! in-place kernels the training path runs
-//! ([`Matrix::add_transposed_matmul_assign`],
-//! [`Matrix::add_col_sums_assign`], [`Matrix::add_row_map_assign`]) skip
-//! the temporaries but are **bit-identical** to their composed
-//! counterparts: every output element is summed in the same order, from
-//! the same `+0.0` start, skipping the same exact zeros.
-//! `tests/proptest_nn.rs` checks this `to_bits()` for `to_bits()`.
+//! return a fresh matrix from plain loops; they are the readable
+//! reference. The fused in-place kernels the networks run
+//! ([`Matrix::matmul_into`],
+//! [`Matrix::add_segmented_transposed_matmul_assign`],
+//! [`Matrix::add_segmented_col_sums_assign`],
+//! [`Matrix::add_row_map_assign`]) skip the temporaries and sum in
+//! register blocks ([`add_weighted_sum`]), but are **bit-identical** to
+//! their composed counterparts: every output element is summed in the
+//! same order, from the same `+0.0` start, skipping the same exact zeros.
+//! `tests/proptest_nn.rs` checks this `to_bits()` for `to_bits()`; no
+//! composed op shares code with a kernel it is checked against.
+//!
+//! The segmented kernels serve a batch that stacks the rows of several
+//! samples. Each sample's rows form one segment; the kernel sums every
+//! segment from `+0.0` on its own and adds the sum to the accumulator at
+//! the segment's end, so a batch of many samples rounds exactly as one
+//! call per sample does.
 //!
 //! The same argument lets callers drop work that contributes only zeros.
 //! Adding `±0.0` to a sum that starts at `+0.0` cannot change it, so a
@@ -24,8 +33,63 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
 
+/// Columns summed per pass of [`add_weighted_sum`]: the partial sums of
+/// a block fit in registers.
+const SUM_BLOCK: usize = 16;
+
+/// Adds `Σ a·w` over `terms` (each `w` at least `out.len()` long), summed
+/// in order from `+0.0`, to `out`; leaves `out` alone when `terms` is
+/// empty. Each block of 16 columns is summed in a register array over one
+/// pass of `terms`, and added to `out` once.
+///
+/// Every product kernel here is this sum. A sum started at `+0.0` is
+/// never `-0.0`, so adding it to an all-zero row writes exactly the sum.
+#[inline]
+pub fn add_weighted_sum<'w>(
+    out: &mut [f64],
+    terms: impl Iterator<Item = (f64, &'w [f64])> + Clone,
+) {
+    let mut blocks = out.chunks_exact_mut(SUM_BLOCK);
+    let mut c0 = 0;
+    for block in &mut blocks {
+        let mut sums = [0.0; SUM_BLOCK];
+        let mut touched = false;
+        for (a, w) in terms.clone() {
+            touched = true;
+            let w: &[f64; SUM_BLOCK] = w[c0..c0 + SUM_BLOCK].try_into().expect("block width");
+            for (s, &y) in sums.iter_mut().zip(w) {
+                *s += a * y;
+            }
+        }
+        if touched {
+            for (o, s) in block.iter_mut().zip(sums) {
+                *o += s;
+            }
+        }
+        c0 += SUM_BLOCK;
+    }
+    let tail = blocks.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    let mut sums = [0.0; SUM_BLOCK];
+    let sums = &mut sums[..tail.len()];
+    let mut touched = false;
+    for (a, w) in terms {
+        touched = true;
+        for (s, &y) in sums.iter_mut().zip(&w[c0..]) {
+            *s += a * y;
+        }
+    }
+    if touched {
+        for (o, &s) in tail.iter_mut().zip(sums.iter()) {
+            *o += s;
+        }
+    }
+}
+
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -86,26 +150,31 @@ impl Matrix {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)`.
+    #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// Immutable view of the underlying row-major data.
+    #[inline]
     pub fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable view of the underlying row-major data.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -125,23 +194,41 @@ impl Matrix {
     }
 
     /// A view of row `r`.
+    #[inline]
     pub fn row_slice(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// A mutable view of row `r`.
+    #[inline]
+    pub fn row_slice_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Reshapes to an all-zeros `rows × cols` matrix, keeping the
+    /// allocation: the reused buffers of a training step grow once.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Appends `row` as a new last row. Panics if its length is not
+    /// [`Self::cols`].
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "row width mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
     }
 
     /// Matrix product `self · rhs`. Panics on shape mismatch.
     ///
     /// The k-loop is hoisted outside the column loop (ikj order), which
     /// keeps all inner accesses sequential — the standard cache-friendly
-    /// layout for row-major data.
+    /// layout for row-major data. Exact zeros of `self` are skipped.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul shape mismatch: {:?} × {:?}",
-            self.shape(),
-            rhs.shape()
-        );
+        self.check_matmul(rhs);
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
@@ -159,18 +246,68 @@ impl Matrix {
         out
     }
 
+    /// [`Self::matmul`] written into `out`, reusing its allocation; the
+    /// bits are [`Self::matmul`]'s. Each row of the product is one
+    /// [`add_weighted_sum`] over the nonzeros of row `i` of `self`, so
+    /// stacking several batches into one `self` leaves every row's bits
+    /// as they are.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.check_matmul(rhs);
+        out.reset(self.rows, rhs.cols);
+        if self.cols == 0 || rhs.cols == 0 {
+            return;
+        }
+        for (row, out_row) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.data.chunks_exact_mut(rhs.cols))
+        {
+            let terms = row.iter().zip(rhs.data.chunks_exact(rhs.cols));
+            add_weighted_sum(
+                out_row,
+                terms.filter(|(&a, _)| a != 0.0).map(|(&a, w)| (a, w)),
+            );
+        }
+    }
+
+    /// Panics unless `self · rhs` is defined.
+    fn check_matmul(&self, rhs: &Matrix) {
+        assert_eq!(
+            self.cols,
+            rhs.rows,
+            "matmul shape mismatch: {:?} × {:?}",
+            self.shape(),
+            rhs.shape()
+        );
+    }
+
     /// In-place `self += aᵀ · b`; bit-identical to
-    /// `self.add_scaled_assign(&a.transpose().matmul(b), 1.0)`, without
-    /// materializing `aᵀ` or the product. Panics on shape mismatch.
-    ///
-    /// Row `i` of the product is summed over the rows of `a` in order
-    /// (skipping exact zeros of `a`) in a row-sized scratch, then added to
-    /// row `i` of `self` once. A row with every `a[·][i]` zero is left
-    /// alone: its product is `+0.0`, the identity on any accumulator that
-    /// is not `-0.0`, which a sum started at `+0.0` never is. When `a` has
-    /// one row, each sum has one term and row `i` gets `0.0 + x·y`
-    /// directly, with no scratch pass.
+    /// `self.add_scaled_assign(&a.transpose().matmul(b), 1.0)`: the
+    /// segmented kernel with one segment.
     pub fn add_transposed_matmul_assign(&mut self, a: &Matrix, b: &Matrix) {
+        self.add_segmented_transposed_matmul_assign(a, b, &[a.rows]);
+    }
+
+    /// In-place `self += a_sᵀ · b_s` for each segment `s` in turn, where
+    /// segment `s` is rows `ends[s-1]..ends[s]` of `a` and `b` (from row 0
+    /// for the first): bit-identical to
+    /// `self.add_scaled_assign(&a_s.transpose().matmul(b_s), 1.0)` once per
+    /// segment, without materializing a transpose or a product. `ends`
+    /// must not decrease and must end at `a.rows()`; a repeated end is an
+    /// empty segment. Panics on shape mismatch.
+    ///
+    /// Row `i` of a segment's product is summed over the segment's rows
+    /// in order (skipping exact zeros of `a`), from `+0.0`, then added to
+    /// row `i` of `self` once ([`add_weighted_sum`]). A row with every
+    /// `a[·][i]` zero is left alone: its product is `+0.0`, the identity
+    /// on any accumulator that is not `-0.0`, which a sum started at
+    /// `+0.0` never is.
+    pub fn add_segmented_transposed_matmul_assign(
+        &mut self,
+        a: &Matrix,
+        b: &Matrix,
+        ends: &[usize],
+    ) {
         assert_eq!(
             (a.rows, self.rows, self.cols),
             (b.rows, a.cols, b.cols),
@@ -179,63 +316,60 @@ impl Matrix {
             a.shape(),
             b.shape()
         );
+        check_segments(ends, a.rows);
         if self.cols == 0 {
             return;
         }
-        if a.rows == 1 {
-            // One term per sum: the scratch would hold exactly
-            // `0.0 + x·y`, and the `0.0 +` keeps its rounding (−0 → +0).
-            for (out_row, &x) in self.data.chunks_exact_mut(self.cols).zip(&a.data) {
-                if x == 0.0 {
-                    continue;
-                }
-                for (o, &y) in out_row.iter_mut().zip(&b.data) {
-                    *o += 0.0 + x * y;
-                }
-            }
-            return;
-        }
-        let mut scratch = vec![0.0; self.cols];
         for (i, out_row) in self.data.chunks_exact_mut(self.cols).enumerate() {
-            scratch.fill(0.0);
-            let mut touched = false;
-            let column = a.data.iter().skip(i).step_by(a.cols);
-            for (&x, b_row) in column.zip(b.data.chunks_exact(b.cols)) {
-                if x == 0.0 {
-                    continue;
-                }
-                touched = true;
-                for (s, &y) in scratch.iter_mut().zip(b_row) {
-                    *s += x * y;
-                }
-            }
-            if touched {
-                for (o, &s) in out_row.iter_mut().zip(&scratch) {
-                    *o += s;
-                }
+            let mut lo = 0;
+            for &hi in ends {
+                let terms = (lo..hi).map(|r| (a.data[r * a.cols + i], b.row_slice(r)));
+                add_weighted_sum(out_row, terms.filter(|&(x, _)| x != 0.0));
+                lo = hi;
             }
         }
     }
 
     /// In-place `self += a.col_sums()`; bit-identical to
-    /// `self.add_scaled_assign(&a.col_sums(), 1.0)`.
+    /// `self.add_scaled_assign(&a.col_sums(), 1.0)`: the segmented kernel
+    /// with one segment.
     pub fn add_col_sums_assign(&mut self, a: &Matrix) {
+        self.add_segmented_col_sums_assign(a, &[a.rows]);
+    }
+
+    /// In-place `self += a_s.col_sums()` for each segment `s` of `a`'s
+    /// rows in turn (segments as in
+    /// [`Self::add_segmented_transposed_matmul_assign`]); bit-identical to
+    /// `self.add_scaled_assign(&a_s.col_sums(), 1.0)` once per segment. An
+    /// empty segment adds its `+0.0` sums too, as the composed op does.
+    pub fn add_segmented_col_sums_assign(&mut self, a: &Matrix, ends: &[usize]) {
         assert_eq!(
             (self.rows, self.cols),
             (1, a.cols),
             "add_col_sums shape mismatch"
         );
+        check_segments(ends, a.rows);
         if a.cols == 0 {
             return;
         }
-        let mut sums = vec![0.0; a.cols];
-        for row in a.data.chunks_exact(a.cols) {
-            for (s, &v) in sums.iter_mut().zip(row) {
-                *s += v;
+        let mut lo = 0;
+        for &hi in ends {
+            for (c0, out) in (0..)
+                .step_by(SUM_BLOCK)
+                .zip(self.data.chunks_mut(SUM_BLOCK))
+            {
+                let mut sums = [0.0; SUM_BLOCK];
+                let sums = &mut sums[..out.len()];
+                for r in lo..hi {
+                    for (s, &v) in sums.iter_mut().zip(&a.row_slice(r)[c0..]) {
+                        *s += v;
+                    }
+                }
+                for (o, &s) in out.iter_mut().zip(sums.iter()) {
+                    *o += s;
+                }
             }
-        }
-        for (o, s) in self.data.iter_mut().zip(sums) {
-            *o += s;
+            lo = hi;
         }
     }
 
@@ -257,13 +391,19 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] written into `out`, reusing its allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Adds a 1×cols row vector to every row (bias broadcast).
@@ -353,15 +493,16 @@ impl Matrix {
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
+}
 
-    /// Flattens an `r×c` matrix into a `1×(r·c)` row vector.
-    pub fn flatten(&self) -> Matrix {
-        Matrix {
-            rows: 1,
-            cols: self.rows * self.cols,
-            data: self.data.clone(),
-        }
-    }
+/// Panics unless `ends` is a valid segmentation of `rows` rows: not
+/// decreasing, and ending at `rows` (an empty `ends` is valid for zero
+/// rows).
+fn check_segments(ends: &[usize], rows: usize) {
+    assert!(
+        ends.windows(2).all(|w| w[0] <= w[1]) && ends.last().copied().unwrap_or(0) == rows,
+        "segment ends {ends:?} do not split {rows} rows"
+    );
 }
 
 #[cfg(test)]
@@ -487,10 +628,32 @@ mod tests {
     }
 
     #[test]
-    fn flatten_preserves_data() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let f = a.flatten();
-        assert_eq!(f.shape(), (1, 4));
-        assert_eq!(f.data(), a.data());
+    fn segmented_kernels_sum_each_segment_apart() {
+        // Rows [1, 2] | [] | [3]: a two-row, an empty and a one-row segment.
+        let a = Matrix::from_vec(3, 1, vec![1., 2., 3.]);
+        let b = Matrix::from_vec(3, 2, vec![1., 10., 1., 10., 1., 10.]);
+        let mut acc = Matrix::zeros(1, 2);
+        acc.add_segmented_transposed_matmul_assign(&a, &b, &[2, 2, 3]);
+        assert_eq!(acc.data(), &[6., 60.]);
+        let mut sums = Matrix::zeros(1, 2);
+        sums.add_segmented_col_sums_assign(&b, &[2, 2, 3]);
+        assert_eq!(sums.data(), &[3., 30.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not split")]
+    fn segments_must_cover_the_rows() {
+        let mut acc = Matrix::zeros(1, 2);
+        acc.add_segmented_col_sums_assign(&Matrix::zeros(3, 2), &[2]);
+    }
+
+    #[test]
+    fn reset_and_push_row_reuse_the_matrix() {
+        let mut m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        m.reset(0, 3);
+        m.push_row(&[5., 6., 7.]);
+        assert_eq!((m.shape(), m.data()), ((1, 3), &[5., 6., 7.][..]));
+        m.reset(1, 2);
+        assert_eq!(m.data(), &[0., 0.]);
     }
 }

@@ -5,7 +5,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tinynn::{Activation, Matrix, Mlp};
+use tinynn::{Activation, Matrix, Mlp, MlpScratch};
 
 const EPS: f64 = 1e-6;
 const TOL: f64 = 1e-6;
@@ -35,10 +35,19 @@ fn gradcheck(dims: &[usize], hidden: Activation, out: Activation, batch: usize, 
             .sum()
     };
 
-    let cache = mlp.forward_cached(&x);
-    let grad_out = Matrix::from_vec(batch, out_dim, coefs.clone());
+    // Two-row segments, so batches of more than two rows take the
+    // chunk-buffer path.
+    let mut scratch = MlpScratch::default();
+    mlp.forward_batch(&x, &mut scratch);
+    scratch
+        .output_and_grad()
+        .1
+        .data_mut()
+        .copy_from_slice(&coefs);
     mlp.zero_grad();
-    let grad_in = mlp.backward_with_input_grad(&cache, &grad_out);
+    let ends: Vec<usize> = (2..batch).step_by(2).chain([batch]).collect();
+    mlp.backward_batch(&x, &mut scratch, &ends);
+    let grad_in = mlp.input_grad(&scratch);
 
     // Parameter gradients.
     let analytic: Vec<Matrix> = mlp.grads().into_iter().cloned().collect();

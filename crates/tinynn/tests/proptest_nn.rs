@@ -7,6 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tinynn::{
     masked_log_softmax, masked_softmax, Activation, Linear, MaskedCategorical, Matrix, Mlp,
+    MlpScratch, Softmax,
 };
 
 fn arb_logits_and_mask() -> impl Strategy<Value = (Vec<f64>, Vec<bool>)> {
@@ -119,12 +120,13 @@ fn arb_activation() -> impl Strategy<Value = Activation> {
     ]
 }
 
-/// Layer widths (2–4 layers), a batch size including the two shapes the
-/// agent runs (1 row for the value net, up to 65 rows for the policy
-/// kernel at 64 slots), and a seed for the weights and inputs.
+/// Layer widths (2–4 layers; some past 16, the kernels' column block), a
+/// batch size including the two shapes the agent runs (1 row for the
+/// value net, up to 65 rows for the policy kernel at 64 slots), and a
+/// seed for the weights and inputs.
 fn arb_net() -> impl Strategy<Value = (Vec<usize>, usize, u64)> {
     (
-        proptest::collection::vec(1usize..13, 2..5),
+        proptest::collection::vec(prop_oneof![1usize..13, 1usize..13, 16usize..34], 2..5),
         prop_oneof![Just(1usize), Just(65usize), 2usize..9],
         any::<u64>(),
     )
@@ -240,9 +242,10 @@ proptest! {
         prop_assert!(same_bits(&layer.forward(&x), &reference));
     }
 
-    /// `Mlp::forward`, `Mlp::forward_cached` and the parameter gradients
-    /// `Mlp::backward` accumulates (twice, so the accumulation order is
-    /// pinned too) equal the composed reference bit for bit.
+    /// `Mlp::forward`, `Mlp::forward_batch`, the parameter gradients
+    /// `Mlp::backward_batch` accumulates over one segment (twice, so the
+    /// accumulation order is pinned too) and `Mlp::input_grad` equal the
+    /// composed reference bit for bit.
     #[test]
     fn mlp_forward_and_backward_are_bit_identical(
         (dims, batch, seed) in arb_net(),
@@ -270,12 +273,17 @@ proptest! {
         let (_, hs) = reference_forward(&layers, hidden, out, &x);
         let y_ref = hs.last().unwrap();
         prop_assert!(same_bits(&mlp.forward(&x), y_ref));
-        let cache = mlp.forward_cached(&x);
-        prop_assert!(same_bits(cache.output(), y_ref));
+        let mut scratch = MlpScratch::default();
+        mlp.forward_batch(&x, &mut scratch);
+        prop_assert!(same_bits(scratch.output(), y_ref));
 
         mlp.zero_grad();
-        mlp.backward(&cache, &grad_out);
-        let grad_in = mlp.backward_with_input_grad(&cache, &grad_out);
+        for _ in 0..2 {
+            mlp.forward_batch(&x, &mut scratch);
+            *scratch.output_and_grad().1 = grad_out.clone();
+            mlp.backward_batch(&x, &mut scratch, &[batch]);
+        }
+        let grad_in = mlp.input_grad(&scratch);
         let (grads_ref, grad_in_ref) =
             reference_backward(&layers, hidden, out, &x, &grad_out, 2);
         let grads = mlp.grads();
@@ -332,6 +340,114 @@ proptest! {
             prop_assert!(same_bits(&fused, &g.add_row_broadcast(&bias).map(f64::tanh)));
         }
     }
+}
+
+/// Segment ends over `rows` rows: random lengths that favour empty and
+/// one-row segments, ending at `rows`.
+fn random_segments(rows: usize, seed: u64) -> Vec<usize> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5e65);
+    let mut ends = Vec::new();
+    let mut end = 0;
+    while end < rows {
+        end = rows.min(end + [0usize, 1, 1, 2, 3, 5][rng.random_range(0..6usize)]);
+        ends.push(end);
+    }
+    if rng.random_range(0..2) == 0 {
+        ends.push(rows); // a trailing empty segment
+    }
+    ends
+}
+
+/// Rows `lo..hi` of `m`.
+fn rows_of(m: &Matrix, lo: usize, hi: usize) -> Matrix {
+    let mut out = Matrix::zeros(0, m.cols());
+    (lo..hi).for_each(|r| out.push_row(m.row_slice(r)));
+    out
+}
+
+proptest! {
+    /// The segmented kernels equal the composed ops applied segment by
+    /// segment, bit for bit, over random splits with empty and one-row
+    /// segments and inputs holding exact `±0.0`; `matmul_into` equals
+    /// `matmul`. Widths up to 40 take the kernels' full 16-column blocks
+    /// as well as their tails.
+    #[test]
+    fn segmented_kernels_match_per_segment_composition(
+        (rows, inner, cols) in (0usize..24, 1usize..12, 1usize..40),
+        seed in any::<u64>(),
+    ) {
+        let a = with_negative_zeros(input_with_zeros(rows, inner, seed), seed);
+        let g = with_negative_zeros(input_with_zeros(rows, cols, seed.rotate_left(23)), !seed);
+        let ends = random_segments(rows, seed);
+
+        // Accumulators never hold -0.0 (sums started at +0.0 cannot reach
+        // it), which is what lets the kernel skip rows a segment leaves at
+        // zero.
+        let acc = input_with_zeros(inner, cols, seed.rotate_left(31));
+        let mut product = Matrix::from_vec(1, 1, vec![f64::NAN]);
+        a.matmul_into(&acc, &mut product);
+        prop_assert!(same_bits(&product, &a.matmul(&acc)));
+        let mut fused = acc.clone();
+        fused.add_segmented_transposed_matmul_assign(&a, &g, &ends);
+        let mut composed = acc;
+        let mut lo = 0;
+        for &hi in &ends {
+            let (a_s, g_s) = (rows_of(&a, lo, hi), rows_of(&g, lo, hi));
+            composed.add_scaled_assign(&a_s.transpose().matmul(&g_s), 1.0);
+            lo = hi;
+        }
+        prop_assert!(same_bits(&fused, &composed), "ends {:?}", ends);
+
+        // Column sums add every segment's sum, so any accumulator works.
+        let acc = with_negative_zeros(input_with_zeros(1, cols, seed.rotate_left(41)), seed);
+        let mut fused = acc.clone();
+        fused.add_segmented_col_sums_assign(&g, &ends);
+        let mut composed = acc;
+        let mut lo = 0;
+        for &hi in &ends {
+            composed.add_scaled_assign(&rows_of(&g, lo, hi).col_sums(), 1.0);
+            lo = hi;
+        }
+        prop_assert!(same_bits(&fused, &composed), "ends {:?}", ends);
+    }
+
+    /// `Softmax` over a slice is `MaskedCategorical` with every slot
+    /// valid, bit for bit: log-probabilities, argmax, entropy, samples,
+    /// and both logit gradients.
+    #[test]
+    fn softmax_matches_the_all_valid_masked_categorical(
+        (logits, _) in arb_logits_and_mask(),
+        seed in any::<u64>(),
+        coef in -2.0f64..2.0,
+    ) {
+        let all = vec![true; logits.len()];
+        let reference = MaskedCategorical::new(&logits, &all);
+        let sm = Softmax::new(&logits);
+        for i in 0..logits.len() {
+            prop_assert_eq!(sm.log_prob(i).to_bits(), reference.log_prob(i).to_bits());
+        }
+        prop_assert_eq!(sm.argmax(), reference.argmax());
+        prop_assert_eq!(sm.entropy().to_bits(), reference.entropy().to_bits());
+        let (mut r1, mut r2) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        for _ in 0..8 {
+            prop_assert_eq!(sm.sample(&mut r1), reference.sample(&mut r2));
+        }
+        let action = (seed % logits.len() as u64) as usize;
+        let mut grad = vec![f64::NAN; logits.len()];
+        sm.log_prob_grad_into(action, coef, &mut grad);
+        let expected = tinynn::log_prob_grad_wrt_logits(&logits, &all, action, coef);
+        let mut with_entropy = expected.clone();
+        for (d, e) in with_entropy.iter_mut().zip(tinynn::entropy_grad_wrt_logits(&logits, &all)) {
+            *d += 0.01 * e;
+        }
+        prop_assert_eq!(bits(&grad), bits(&expected));
+        sm.add_entropy_grad(0.01, &mut grad);
+        prop_assert_eq!(bits(&grad), bits(&with_entropy));
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// `m` with about half of its exact zeros turned into `-0.0`.
