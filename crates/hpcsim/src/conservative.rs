@@ -31,17 +31,18 @@ pub fn conservative_pass<S: BackfillSim>(sim: &mut S, estimator: RuntimeEstimato
     sim.phase_end(Phase::ConservativePass);
     sim.phase_begin(Phase::BackfillScan);
     let mut started = 0;
-    for pos in starts {
+    for &pos in &starts {
         let idx = pos - started;
         debug_assert!(idx > 0, "the reserved head is never in the start set");
         // A conservative start honours the job's planned reservation
         // slot; label it so the audit log distinguishes it from an
         // opportunistic EASY-style backfill.
         sim.audit_mark_reservation_start();
-        if sim.backfill(idx).is_ok() {
+        if sim.start_backfill(idx).is_ok() {
             started += 1;
         }
     }
+    sim.return_starts(starts);
     // Forensics: under conservative semantics a job the plan left queued
     // either lacks processors right now or would push back an earlier
     // reservation.

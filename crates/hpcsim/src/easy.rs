@@ -71,7 +71,7 @@ pub fn easy_pass_with_order<S: BackfillSim>(
             .map(|(i, j)| (i, *j));
         let Some((idx, job)) = pick else { break };
         let uses_extra = now + estimator.estimate(&job) > shadow;
-        sim.backfill(idx)
+        sim.start_backfill(idx)
             .expect("candidate was validated against free procs"); // simlint: allow(panic-path) — candidate was re-validated against free procs just above; Err means the fit check lied
         if uses_extra {
             extra -= job.procs;

@@ -239,7 +239,8 @@ impl RouterStats {
 /// span bracketing and the end-of-run harvest at the call sites.
 pub trait Probe: std::fmt::Debug + Clone {
     /// Whether the engine should execute probe-only code (span
-    /// bracketing, passive-stat harvesting). `false` for [`NoopProbe`].
+    /// bracketing, passive-stat harvesting, the ground-truth delay check
+    /// of heuristic backfill starts). `false` for [`NoopProbe`].
     const ENABLED: bool = true;
 
     /// One cluster event executed; `heap_depth` is the pending-event
@@ -256,8 +257,10 @@ pub trait Probe: std::fmt::Debug + Clone {
     #[inline]
     fn on_backfill(&mut self, _hit: bool) {}
 
-    /// A backfill candidate was rejected because it would delay the
-    /// reserved job.
+    /// A backfill start delays the reserved job's ground-truth earliest
+    /// start. The engine runs this check for every backfill start when
+    /// `ENABLED`, and otherwise only when the driver asks for the
+    /// outcome.
     #[inline]
     fn on_backfill_would_delay(&mut self) {}
 
@@ -362,7 +365,10 @@ pub struct Telemetry {
     pub backfill_attempts: u64,
     /// Backfill starts that succeeded.
     pub backfill_hits: u64,
-    /// Backfill candidates rejected for delaying the reserved job.
+    /// Backfill starts that delay the reserved job's ground-truth
+    /// earliest start (actual runtimes). In heuristic runs this check is
+    /// observation work: the engine runs it for a probe that counts it
+    /// and skips it when none does.
     pub backfill_would_delay: u64,
     /// Queued jobs considered by the reroute pass.
     pub migration_candidates: u64,

@@ -12,7 +12,11 @@
 //! in O(edge-op) as the simulation evolves:
 //!
 //! * `actual` — ground-truth release profiles (actual runtimes), consulted
-//!   by `would_delay_reserved` on every backfill action. Completions always
+//!   by `Planner::would_delay`. The RL environment's checked `backfill`
+//!   always asks; in heuristic runs the check is observation work, run
+//!   only when a probe counts it, so an unprobed heuristic run never
+//!   builds these profiles. They are built at the first check, from the
+//!   live running set, and maintained from then on. Completions always
 //!   land exactly on their release edge, so this profile never invalidates
 //!   anything.
 //! * `releases` — estimated release profiles under the scheduler's
@@ -206,6 +210,12 @@ impl Planner {
         total
     }
 
+    /// Whether the ground-truth profiles exist: some delay check has run.
+    #[cfg(test)]
+    pub fn has_ground_truth(&self) -> bool {
+        self.actual.is_some()
+    }
+
     /// A job entered partition `p`'s queue at `pos` (`None`: appended with
     /// a deferred re-sort pending — positional alignment is gone).
     pub fn on_enqueue(&mut self, p: usize, pos: Option<usize>) {
@@ -340,18 +350,24 @@ impl Planner {
     }
 
     /// Runs the incremental conservative planning pass for partition `p`:
-    /// repairs the invalidated suffix of the reservation plan and returns
-    /// the queue positions (ascending, head excluded) whose reservation
-    /// start is "now" — the backfill set of the pass — with the repair it
-    /// made: the dominant [`RepairCause`] and the number of entries
-    /// replanned, `None` when the whole plan was still valid.
+    /// repairs the invalidated suffix of the reservation plan and writes
+    /// into `due` (cleared first) the queue positions (ascending, head
+    /// excluded) whose reservation start is "now" — the backfill set of
+    /// the pass. Returns the repair it made: the dominant [`RepairCause`]
+    /// and the number of entries replanned, `None` when the whole plan was
+    /// still valid.
+    ///
+    /// One walk over the valid prefix finds the first stale reservation
+    /// and collects the due starts before it; the repair loop collects the
+    /// rest as it replans them.
     pub fn conservative_starts(
         &mut self,
         parts: &[Partition],
         p: usize,
         estimator: RuntimeEstimator,
         now: f64,
-    ) -> (Vec<usize>, Option<(RepairCause, usize)>) {
+        due: &mut Vec<usize>,
+    ) -> Option<(RepairCause, usize)> {
         self.ensure_est(parts, estimator, now);
         let part = &parts[p]; // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
         let pp = &mut self.est.as_mut().expect("just ensured").parts[p]; // simlint: allow(panic-path) — ensure_est on the preceding line guarantees est is Some
@@ -377,11 +393,22 @@ impl Planner {
             cons.plan.resize(part.queue().len(), UNPLANNED);
         }
         // Reservations the clock ran past are stale: a fresh pass can only
-        // return starts ≥ now, so repair from the first such position.
-        if let Some(k) = cons.plan[..cons.dirty_from] // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
-            .iter()
-            .position(|e| e.start < now)
-        {
+        // return starts ≥ now, so repair from the first such position. The
+        // valid entries before it keep their starts, so their due
+        // positions are collected on the way.
+        due.clear();
+        let mut stale = None;
+        // simlint: allow(panic-path) — partition/queue indices come from ensure_est-built state; in-bounds by construction
+        for (i, e) in cons.plan[..cons.dirty_from].iter().enumerate() {
+            if e.start < now {
+                stale = Some(i);
+                break;
+            }
+            if is_due(i, e.start, now) {
+                due.push(i);
+            }
+        }
+        if let Some(k) = stale {
             cons.invalidate_from(k);
             cons.note(RepairCause::Stale);
         }
@@ -408,11 +435,14 @@ impl Planner {
                 est: e,
                 procs: job.procs,
             };
+            if is_due(j, t, now) {
+                due.push(j);
+            }
         }
         cons.dirty_from = part.queue().len();
         #[cfg(debug_assertions)]
-        assert_plan_matches_scratch(part, estimator, now, &cons.plan);
-        (due_starts(cons.plan.iter().map(|e| e.start), now), repair)
+        assert_plan_matches_scratch(part, estimator, now, &cons.plan, due);
+        repair
     }
 
     /// The EASY shadow time and extra-processor count for partition `p`'s
@@ -492,17 +522,12 @@ impl Planner {
     }
 }
 
-/// The queue positions (ascending, head excluded) whose planned start is
-/// "now". Index 0 is the reserved head job: if it could start now the
+/// Whether queue position `pos`, planned to start at `start`, starts
+/// "now". Position 0 is the reserved head job: if it could start now the
 /// simulator would have started it already, so only later jobs (true
-/// backfills) are collected.
-fn due_starts(starts: impl Iterator<Item = f64>, now: f64) -> Vec<usize> {
-    starts
-        .enumerate()
-        .skip(1)
-        .filter(|&(_, t)| t <= now + EPS)
-        .map(|(i, _)| i)
-        .collect() // simlint: allow(hot-alloc) — the due-starts action set is an owned Vec by BackfillSim contract
+/// backfills) are due.
+fn is_due(pos: usize, start: f64, now: f64) -> bool {
+    pos > 0 && start <= now + EPS
 }
 
 /// The EASY shadow time of a `procs`-wide reserved job on a release
@@ -552,7 +577,16 @@ pub fn from_scratch_conservative_starts(
     estimator: RuntimeEstimator,
 ) -> Vec<usize> {
     let plan = from_scratch_conservative_plan(now, free, running, queue, estimator);
-    due_starts(plan.into_iter(), now)
+    scratch_due(&plan, now)
+}
+
+/// The due positions of a from-scratch plan.
+fn scratch_due(plan: &[f64], now: f64) -> Vec<usize> {
+    plan.iter()
+        .enumerate()
+        .filter(|&(i, &t)| is_due(i, t, now))
+        .map(|(i, _)| i)
+        .collect() // simlint: allow(hot-alloc) — from-scratch start set for engines without a persistent planner and the debug oracle
 }
 
 /// The from-scratch EASY shadow time and extra-processor count for the
@@ -574,17 +608,19 @@ pub fn from_scratch_shadow_extra(
 }
 
 /// Debug oracle: the repaired plan must equal a from-scratch replan, job
-/// by job, bitwise.
+/// by job, bitwise, and `due` must be that plan's due positions.
 #[cfg(debug_assertions)]
 fn assert_plan_matches_scratch(
     part: &Partition,
     estimator: RuntimeEstimator,
     now: f64,
     plan: &[PlanEntry],
+    due: &[usize],
 ) {
     let scratch =
         from_scratch_conservative_plan(now, part.free(), part.running(), part.queue(), estimator);
     assert_eq!(plan.len(), scratch.len(), "plan/queue lengths diverged");
+    assert_eq!(due, scratch_due(&scratch, now), "fused due walk diverged");
     for (j, ((job, e), t)) in part.queue().iter().zip(plan).zip(scratch).enumerate() {
         assert!(
             e.id == job.id && e.start.to_bits() == t.to_bits(),

@@ -89,6 +89,11 @@ impl ReferenceSimulation {
         &self.completed
     }
 
+    /// Moves the finished schedule out, leaving [`Self::completed`] empty.
+    pub(crate) fn take_completed(&mut self) -> Vec<CompletedJob> {
+        std::mem::take(&mut self.completed)
+    }
+
     /// Unroutable jobs: always 0 — the seed engine models the flat
     /// machine, where [`swf::Trace::new`] already sanitized the trace.
     pub fn dropped_jobs(&self) -> usize {
@@ -132,8 +137,23 @@ impl ReferenceSimulation {
             .collect()
     }
 
-    /// Starts the queued job at `queue_idx` immediately (a backfill).
+    /// Starts the queued job at `queue_idx` immediately (a backfill),
+    /// reporting whether it delayed the reserved job's ground-truth
+    /// earliest start.
     pub fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
+        let delays_reserved = self.start_backfill_checked(queue_idx, true)?;
+        Ok(BackfillOutcome { delays_reserved })
+    }
+
+    /// The one backfill start: validates `queue_idx`, runs the from-scratch
+    /// delay check only when `check` asks for it (the heuristic passes'
+    /// [`crate::state::BackfillSim::start_backfill`] does not), and starts
+    /// the job. Returns the check's answer (`false` when it did not run).
+    pub(crate) fn start_backfill_checked(
+        &mut self,
+        queue_idx: usize,
+        check: bool,
+    ) -> Result<bool, BackfillError> {
         if queue_idx >= self.queue.len() {
             return Err(BackfillError::BadIndex);
         }
@@ -144,11 +164,11 @@ impl ReferenceSimulation {
         if job.procs > self.free {
             return Err(BackfillError::DoesNotFit);
         }
-        let delays_reserved = self.would_delay_reserved(&job);
+        let delays_reserved = check && self.would_delay_reserved(&job);
         self.queue.remove(queue_idx);
         self.start_job(job);
         self.opportunity_armed = true;
-        Ok(BackfillOutcome { delays_reserved })
+        Ok(delays_reserved)
     }
 
     fn actual_profile(&self) -> crate::profile::AvailabilityProfile {
@@ -484,7 +504,7 @@ pub fn run_seed_scheduler(
     }
     let metrics = crate::metrics::Metrics::of(sim.completed(), trace.cluster_procs());
     crate::runner::ScheduleResult {
-        completed: sim.completed().to_vec(),
+        completed: sim.completed,
         metrics,
         dropped_jobs: 0,
         migrations: 0,

@@ -154,7 +154,7 @@ pub(crate) fn drive_to_completion<S: crate::state::BackfillSim>(
     }
     let metrics = Metrics::of(sim.completed(), cluster_procs);
     ScheduleResult {
-        completed: sim.completed().to_vec(),
+        completed: sim.take_completed(),
         metrics,
         dropped_jobs: sim.dropped_jobs(),
         migrations: sim.migrations(),

@@ -146,10 +146,17 @@ pub trait BackfillSim {
     fn running(&self) -> &[RunningJob];
     /// Advances to the next decision point or to completion.
     fn advance(&mut self) -> SimEvent;
-    /// Starts the queued job at `queue_idx` immediately.
-    fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError>;
+    /// Starts the queued job at `queue_idx` immediately: the start call of
+    /// the heuristic passes. Unlike the engines' own `backfill`, it
+    /// reports no [`BackfillOutcome`]. No heuristic reads the ground-truth
+    /// delay check, so here it is observation work: an engine runs it only
+    /// when a probe counts it ([`Probe::on_backfill_would_delay`]).
+    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError>;
     /// Jobs that finished, in completion order.
     fn completed(&self) -> &[CompletedJob];
+    /// Moves the finished schedule out of the engine, leaving its list
+    /// empty — for a driver that is done with the engine.
+    fn take_completed(&mut self) -> Vec<CompletedJob>;
 
     /// Jobs set aside as unroutable before the run started (always 0 on
     /// flat machines — [`swf::Trace::new`] sanitizes against them).
@@ -195,7 +202,9 @@ pub trait BackfillSim {
     /// The default derivation is from scratch (the seed-pinned semantics);
     /// engines with a persistent planner override it with incremental
     /// suffix repair — bitwise the same plan, checked by the planner's
-    /// debug oracle and `tests/proptest_plan.rs`.
+    /// debug oracle and `tests/proptest_plan.rs` — and lend out a reused
+    /// buffer that the pass gives back through
+    /// [`BackfillSim::return_starts`].
     fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
         crate::plan::from_scratch_conservative_starts(
             self.now(),
@@ -205,6 +214,11 @@ pub trait BackfillSim {
             estimator,
         )
     }
+
+    /// Hands back the buffer [`BackfillSim::plan_conservative_starts`]
+    /// returned, so the next pass reuses its allocation. Default: drops
+    /// it.
+    fn return_starts(&mut self, _starts: Vec<usize>) {}
 
     /// The EASY shadow time and extra-processor count for the reserved
     /// job under `estimator`, or `None` with an empty queue. Default:
@@ -228,7 +242,7 @@ pub trait BackfillSim {
     /// reason. No-op without an auditing probe.
     fn audit_skips(&mut self, _fitting: SkipReason) {}
 
-    /// Marks the next successful [`BackfillSim::backfill`] call as the
+    /// Marks the next successful [`BackfillSim::start_backfill`] call as the
     /// start of a planned conservative reservation, so the audit log
     /// distinguishes on-plan starts from opportunistic backfills.
     fn audit_mark_reservation_start(&mut self) {}
@@ -253,9 +267,6 @@ macro_rules! forward_backfill_sim {
         }
         fn advance(&mut self) -> SimEvent {
             <$ty>::advance(self)
-        }
-        fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
-            <$ty>::backfill(self, queue_idx)
         }
         fn completed(&self) -> &[CompletedJob] {
             <$ty>::completed(self)
@@ -284,11 +295,20 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
         Self::wasted_node_seconds(self)
     }
 
+    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
+        self.start_backfill_checked(queue_idx, false).map(drop)
+    }
+
+    fn take_completed(&mut self) -> Vec<CompletedJob> {
+        std::mem::take(&mut self.completed)
+    }
+
     fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
         let p = self.active;
-        let (starts, repair) =
+        let mut starts = std::mem::take(&mut self.due_starts);
+        let repair =
             self.planner
-                .conservative_starts(&self.parts, p, estimator, self.now);
+                .conservative_starts(&self.parts, p, estimator, self.now, &mut starts);
         if P::ENABLED {
             if let Some((cause, entries)) = repair {
                 self.probe.record(AuditRecord::PlanRepaired {
@@ -300,6 +320,10 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
             }
         }
         starts
+    }
+
+    fn return_starts(&mut self, starts: Vec<usize>) {
+        self.due_starts = starts;
     }
 
     fn shadow_extra(&mut self, estimator: RuntimeEstimator) -> Option<(f64, u32)> {
@@ -356,6 +380,14 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
 // incremental planner is differentially tested against it.
 impl BackfillSim for crate::reference::ReferenceSimulation {
     forward_backfill_sim!(crate::reference::ReferenceSimulation);
+
+    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
+        self.start_backfill_checked(queue_idx, false).map(drop)
+    }
+
+    fn take_completed(&mut self) -> Vec<CompletedJob> {
+        Self::take_completed(self)
+    }
 }
 
 /// A kernel event: what happens at a scheduled instant.
@@ -444,9 +476,13 @@ pub struct ProbedSimulation<P: Probe = NoopProbe> {
     /// The observability hook; [`NoopProbe`] costs nothing.
     probe: P,
     /// Set by [`BackfillSim::audit_mark_reservation_start`]; the next
-    /// successful [`Self::backfill`] consumes it to label its start
+    /// successful backfill start consumes it to label its start
     /// [`StartKind::Reservation`] instead of [`StartKind::Backfill`].
     audit_next_reservation: bool,
+    /// The conservative start-set buffer, lent to each pass by
+    /// [`BackfillSim::plan_conservative_starts`] and handed back by
+    /// [`BackfillSim::return_starts`], so passes reuse one allocation.
+    due_starts: Vec<usize>,
     /// The materialized platform-event stream (empty unless
     /// [`Self::install_platform_events`] installed a non-empty spec —
     /// and then the engine is bitwise the pre-platform one).
@@ -553,6 +589,7 @@ impl<P: Probe> ProbedSimulation<P> {
             router_cache: RouterPlanCache::new(),
             probe,
             audit_next_reservation: false,
+            due_starts: Vec::new(),
             pevents: Vec::new(),
             failure_policy: FailurePolicy::default(),
             incarnations: BTreeMap::new(),
@@ -775,6 +812,19 @@ impl<P: Probe> ProbedSimulation<P> {
     /// earliest start (computed from *actual* runtimes — the simulator
     /// knows the truth even though schedulers only see estimates).
     pub fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
+        let delays_reserved = self.start_backfill_checked(queue_idx, true)?;
+        Ok(BackfillOutcome { delays_reserved })
+    }
+
+    /// The one backfill start: validates `queue_idx`, runs the
+    /// ground-truth delay check when `check` asks for it or the probe
+    /// counts it, and starts the job. Returns the check's answer (`false`
+    /// when it did not run).
+    fn start_backfill_checked(
+        &mut self,
+        queue_idx: usize,
+        check: bool,
+    ) -> Result<bool, BackfillError> {
         // The reservation mark applies to this call only, error or not.
         let kind = if std::mem::take(&mut self.audit_next_reservation) {
             StartKind::Reservation
@@ -796,14 +846,15 @@ impl<P: Probe> ProbedSimulation<P> {
         // planner answers from its persistent actual-runtime profile,
         // applying a trial usage and retracting it exactly.
         let reserved_procs = part.queue()[0].procs; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        let delays_reserved =
-            self.planner
+        let delays_reserved = (check || P::ENABLED)
+            && self
+                .planner
                 .would_delay(&self.parts, self.active, &job, reserved_procs, self.now);
         if P::ENABLED && delays_reserved {
             self.probe.on_backfill_would_delay();
         }
         self.start_queued(self.active, queue_idx, kind);
-        Ok(BackfillOutcome { delays_reserved })
+        Ok(delays_reserved)
     }
 
     /// Pops and applies every event due at the current instant (within the
@@ -1850,6 +1901,57 @@ mod tests {
         assert!(sim.backfill(1).is_ok());
         while sim.advance() != SimEvent::Done {}
         assert_eq!(sim.completed().len(), 3);
+    }
+
+    #[test]
+    fn only_probed_heuristic_runs_build_the_ground_truth_profile() {
+        // No heuristic reads the delay check, so an unprobed run never
+        // builds the planner's ground-truth profile; a Recorder counts the
+        // check, so its run builds it — and realizes the same schedule.
+        use crate::estimator::RuntimeEstimator::RequestTime;
+        use crate::observe::Recorder;
+        use crate::runner::{drive_to_completion, Backfill, ScheduleResult};
+        let t = swf::TracePreset::SdscSp2.generate(600, 29);
+        let procs = t.cluster_procs();
+        let bits = |r: &ScheduleResult| -> Vec<(usize, u64)> {
+            r.completed
+                .iter()
+                .map(|c| (c.job.id, c.start.to_bits()))
+                .collect()
+        };
+        let mut would_delay = 0;
+        for backfill in [
+            Backfill::Easy(RequestTime),
+            Backfill::EasyOrdered(RequestTime, Policy::Sjf),
+            Backfill::Conservative(RequestTime),
+        ] {
+            let mut plain = Simulation::new(&t, Policy::Fcfs);
+            let unprobed = drive_to_completion(&mut plain, procs, backfill);
+            assert!(
+                !plain.planner.has_ground_truth(),
+                "{backfill:?}: an unprobed run built the ground-truth profile"
+            );
+            let mut sim = ProbedSimulation::with_cluster_rerouted_probed(
+                &t,
+                Policy::Fcfs,
+                ClusterSpec::homogeneous(procs),
+                Arc::new(StaticAffinity),
+                ReroutePolicy::AtSubmission,
+                Recorder::default(),
+            );
+            let recorded = drive_to_completion(&mut sim, procs, backfill);
+            assert!(
+                sim.planner.has_ground_truth(),
+                "{backfill:?}: a recorded run skipped the delay check"
+            );
+            assert!(sim.probe().telemetry().backfill_hits > 0, "{backfill:?}");
+            would_delay += sim.probe().telemetry().backfill_would_delay;
+            assert_eq!(bits(&unprobed), bits(&recorded), "{backfill:?}");
+        }
+        assert!(
+            would_delay > 0,
+            "the trace never exercised a delaying backfill"
+        );
     }
 
     #[test]

@@ -41,9 +41,10 @@ pub const HOT_SET_REL: &str = "results/hot_set.json";
 /// Seed entry points of the hot closure. Names, not paths: these are the
 /// functions the profiler says dominate a run — the event loop, the
 /// availability-profile scan, the backfill passes, the incremental
-/// planner and the router estimate path. `backfill_candidates` is seeded
-/// explicitly because it is the public RL action-space API: nothing in
-/// the kernel calls it, the agent does, every step. A trailing `*` is a
+/// planner and the router estimate path. `backfill_candidates` and
+/// `backfill` are seeded explicitly because they are the public RL
+/// action-space API: the heuristic passes start jobs through
+/// `start_backfill`, the agent calls both every step. A trailing `*` is a
 /// prefix glob.
 pub const SEEDS: &[&str] = &[
     "advance",
@@ -58,6 +59,7 @@ pub const SEEDS: &[&str] = &[
     "apply_platform_event",
     "estimated_start*",
     "backfill_candidates",
+    "backfill",
 ];
 
 fn seed_matches(name: &str) -> bool {
