@@ -269,6 +269,14 @@ pub trait Router: std::fmt::Debug + Send + Sync {
     /// under the request-time estimator, so every router participates in
     /// migration without re-deriving the gain geometry; `EarliestStart`
     /// itself overrides this to reuse its configured estimator.
+    ///
+    /// The simulation does not ask about every waiting job. An unprobed
+    /// run skips the call for a job that no other unfrozen partition
+    /// admits, because the answer could only be `None` or a target the
+    /// pass rejects. A counting probe (`Recorder`, `AuditProbe`) asks
+    /// about every candidate. Implementations must therefore be pure
+    /// functions of `(job, view, from)`: the skipped calls may not
+    /// change any later answer.
     fn reroute(&self, job: &Job, view: &ClusterView<'_>, from: usize) -> Option<RerouteDecision> {
         EarliestStart::default().best_move(job, view, from)
     }

@@ -240,7 +240,9 @@ impl RouterStats {
 pub trait Probe: std::fmt::Debug + Clone {
     /// Whether the engine should execute probe-only code (span
     /// bracketing, passive-stat harvesting, the ground-truth delay check
-    /// of heuristic backfill starts). `false` for [`NoopProbe`].
+    /// of heuristic backfill starts, the router estimates of reroute
+    /// candidates that no other partition can take). `false` for
+    /// [`NoopProbe`].
     const ENABLED: bool = true;
 
     /// One cluster event executed; `heap_depth` is the pending-event
@@ -264,7 +266,8 @@ pub trait Probe: std::fmt::Debug + Clone {
     #[inline]
     fn on_backfill_would_delay(&mut self) {}
 
-    /// The reroute pass considered one queued job for migration.
+    /// The reroute pass considered one queued job for migration (and,
+    /// since the probe is enabled, asked the router about it).
     #[inline]
     fn on_migration_candidate(&mut self) {}
 
@@ -370,7 +373,9 @@ pub struct Telemetry {
     /// observation work: the engine runs it for a probe that counts it
     /// and skips it when none does.
     pub backfill_would_delay: u64,
-    /// Queued jobs considered by the reroute pass.
+    /// Queued jobs considered by the reroute pass. Each is offered to
+    /// the router when a probe counts it; an unprobed run skips the
+    /// candidates that no other partition can take.
     pub migration_candidates: u64,
     /// Migrations proposed by the router.
     pub migrations_proposed: u64,

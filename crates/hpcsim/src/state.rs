@@ -964,6 +964,15 @@ impl<P: Probe> ProbedSimulation<P> {
     /// The scan order is deterministic: partitions by index, queues in
     /// policy order; a moved job re-enters its target queue at its policy
     /// position with durations re-scaled to the target's speed.
+    ///
+    /// An unprobed run (`!P::ENABLED`) skips the router call for a
+    /// candidate that no acceptable target admits (every other
+    /// partition is frozen, draining or too narrow): the router may only
+    /// name [`ClusterView::fitting`] partitions, so that call could never
+    /// move the job. A probed run still asks for every candidate, since
+    /// `Recorder` and audit runs count the router's estimates. Either
+    /// way the schedule is the same, which holds because
+    /// [`Router::reroute`] is a pure function of `(job, view, from)`.
     fn reroute_pass(&mut self) {
         let ReroutePolicy::AtDecisionPoints {
             max_moves_per_job,
@@ -1032,11 +1041,29 @@ impl<P: Probe> ProbedSimulation<P> {
             if frozen[p] {
                 continue;
             }
+            // The widest job an acceptable target could take off `p`: the
+            // router proposes only partitions that `Partition::admits` the
+            // job, and the scan rejects `p` itself and frozen targets.
+            // Capacity, drains and `frozen` hold still for the whole pass.
+            let reach = self
+                .parts
+                .iter()
+                .zip(&frozen)
+                .enumerate()
+                .filter(|&(q, (part, &fz))| q != p && !fz && !part.draining())
+                .map(|(_, (part, _))| part.capacity())
+                .max();
             let mut pos = 1;
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
             while pos < self.parts[p].queue().len() {
                 let stored = self.parts[p].queue()[pos]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                if self.moves.get(&stored.id).copied().unwrap_or(0) >= max_moves_per_job {
+
+                // A spent move budget keeps the job here. So does a width
+                // beyond `reach`; only a probed run, which counts the
+                // router's estimates, still asks the router about it.
+                if self.moves.get(&stored.id).copied().unwrap_or(0) >= max_moves_per_job
+                    || (!P::ENABLED && reach.is_none_or(|w| stored.procs > w))
+                {
                     pos += 1;
                     continue;
                 }
