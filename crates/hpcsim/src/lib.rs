@@ -105,5 +105,5 @@ pub mod prelude {
         self, AgentSlot, Engine, MetricKind, Platform, Protocol, RobustnessReport, RouterSpec,
         RunReport, ScenarioBuilder, ScenarioError, ScenarioSpec, SchedulerSpec,
     };
-    pub use crate::state::{SimEvent, Simulation};
+    pub use crate::state::{BackfillSim, SimEvent, Simulation};
 }

@@ -16,7 +16,9 @@
 //! equal to the seed behavior.
 
 use crate::policy::Policy;
-use crate::state::{BackfillError, BackfillOutcome, CompletedJob, RunningJob, SimEvent};
+use crate::state::{
+    BackfillError, BackfillOutcome, BackfillSim, CompletedJob, RunningJob, SimEvent,
+};
 use swf::{Job, Trace};
 
 /// Time-comparison slack for completion processing (same as the kernel's).
@@ -53,65 +55,37 @@ impl ReferenceSimulation {
             opportunity_armed: true,
         }
     }
+}
 
-    /// Current simulation time, seconds.
-    pub fn now(&self) -> f64 {
+// The seed engine keeps the trait's from-scratch planning paths and its
+// zero counters: it exists to stay byte-equal to the seed behavior, and the
+// kernel engine's incremental planner is differentially tested against it.
+impl BackfillSim for ReferenceSimulation {
+    fn now(&self) -> f64 {
         self.now
     }
 
-    /// Free processors right now.
-    pub fn free_procs(&self) -> u32 {
+    fn free_procs(&self) -> u32 {
         self.free
     }
 
-    /// Total processors in the cluster.
-    pub fn cluster_procs(&self) -> u32 {
+    fn cluster_procs(&self) -> u32 {
         self.cluster_procs
     }
 
-    /// The base policy driving head-of-queue selection.
-    pub fn policy(&self) -> Policy {
+    fn policy(&self) -> Policy {
         self.policy
     }
 
-    /// The waiting queue, sorted by the policy as of the last pass.
-    pub fn queue(&self) -> &[Job] {
+    fn queue(&self) -> &[Job] {
         &self.queue
     }
 
-    /// Jobs currently executing.
-    pub fn running(&self) -> &[RunningJob] {
+    fn running(&self) -> &[RunningJob] {
         &self.running
     }
 
-    /// Jobs that finished, in completion order.
-    pub fn completed(&self) -> &[CompletedJob] {
-        &self.completed
-    }
-
-    /// Moves the finished schedule out, leaving [`Self::completed`] empty.
-    pub(crate) fn take_completed(&mut self) -> Vec<CompletedJob> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Unroutable jobs: always 0 — the seed engine models the flat
-    /// machine, where [`swf::Trace::new`] already sanitized the trace.
-    pub fn dropped_jobs(&self) -> usize {
-        0
-    }
-
-    /// Queue migrations: always 0 — the seed engine has a single queue.
-    pub fn migrations(&self) -> usize {
-        0
-    }
-
-    /// The reserved job (head of the sorted queue), if any.
-    pub fn reserved_job(&self) -> Option<&Job> {
-        self.queue.first()
-    }
-
-    /// Advances to the next backfilling opportunity or completion.
-    pub fn advance(&mut self) -> SimEvent {
+    fn advance(&mut self) -> SimEvent {
         loop {
             self.ingest_arrivals();
             self.start_ready_jobs();
@@ -126,30 +100,30 @@ impl ReferenceSimulation {
         }
     }
 
-    /// Queue indices (excluding the reserved head) of fitting jobs.
-    pub fn backfill_candidates(&self) -> Vec<usize> {
-        self.queue
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, j)| j.procs <= self.free)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Starts the queued job at `queue_idx` immediately (a backfill),
-    /// reporting whether it delayed the reserved job's ground-truth
-    /// earliest start.
-    pub fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
+    fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
         let delays_reserved = self.start_backfill_checked(queue_idx, true)?;
         Ok(BackfillOutcome { delays_reserved })
     }
 
+    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
+        self.start_backfill_checked(queue_idx, false).map(drop)
+    }
+
+    fn completed(&self) -> &[CompletedJob] {
+        &self.completed
+    }
+
+    fn take_completed(&mut self) -> Vec<CompletedJob> {
+        std::mem::take(&mut self.completed)
+    }
+}
+
+impl ReferenceSimulation {
     /// The one backfill start: validates `queue_idx`, runs the from-scratch
     /// delay check only when `check` asks for it (the heuristic passes'
-    /// [`crate::state::BackfillSim::start_backfill`] does not), and starts
-    /// the job. Returns the check's answer (`false` when it did not run).
-    pub(crate) fn start_backfill_checked(
+    /// [`BackfillSim::start_backfill`] does not), and starts the job.
+    /// Returns the check's answer (`false` when it did not run).
+    fn start_backfill_checked(
         &mut self,
         queue_idx: usize,
         check: bool,
@@ -472,7 +446,7 @@ pub fn run_scheduler_reference(
     backfill: crate::runner::Backfill,
 ) -> crate::runner::ScheduleResult {
     let mut sim = ReferenceSimulation::new(trace, policy);
-    crate::runner::drive_to_completion(&mut sim, trace.cluster_procs(), backfill)
+    crate::runner::drive_to_completion(&mut sim, backfill)
 }
 
 /// The full seed cost model: reference engine + naive profile + seed pass
@@ -502,7 +476,7 @@ pub fn run_seed_scheduler(
             }
         }
     }
-    let metrics = crate::metrics::Metrics::of(sim.completed(), trace.cluster_procs());
+    let metrics = crate::metrics::Metrics::of(sim.completed(), sim.cluster_procs());
     crate::runner::ScheduleResult {
         completed: sim.completed,
         metrics,

@@ -7,7 +7,7 @@ use crate::estimator::RuntimeEstimator;
 use crate::metrics::Metrics;
 use crate::observe::Probe;
 use crate::policy::Policy;
-use crate::state::{CompletedJob, ProbedSimulation, SimEvent, Simulation};
+use crate::state::{BackfillSim, CompletedJob, ProbedSimulation, SimEvent, Simulation};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use swf::Trace;
@@ -73,7 +73,7 @@ pub struct ScheduleResult {
 /// over the trace's homogeneous machine.
 pub fn run_scheduler(trace: &Trace, policy: Policy, backfill: Backfill) -> ScheduleResult {
     let mut sim = Simulation::new(trace, policy);
-    drive_to_completion(&mut sim, trace.cluster_procs(), backfill)
+    drive_to_completion(&mut sim, backfill)
 }
 
 /// [`run_scheduler`] on an explicit cluster shape: `router` assigns each
@@ -92,9 +92,8 @@ pub fn run_scheduler_on_rerouted(
     router: Arc<dyn Router>, // simlint: allow(sync-audit) — Arc shares immutable scenario inputs (workload/spec/estimator); read-only after construction
     reroute: ReroutePolicy,
 ) -> ScheduleResult {
-    let total = spec.total_procs();
     let mut sim = Simulation::with_cluster_rerouted(trace, policy, spec.clone(), router, reroute);
-    drive_to_completion(&mut sim, total, backfill)
+    drive_to_completion(&mut sim, backfill)
 }
 
 /// The fully general run: [`run_scheduler_on_rerouted`] under a dynamic
@@ -117,7 +116,6 @@ pub fn run_scheduler_probed<P: Probe>(
     events: &crate::platform::PlatformEventSpec,
     probe: P,
 ) -> Result<(ScheduleResult, P), String> {
-    let total = spec.total_procs();
     let mut sim = ProbedSimulation::with_cluster_rerouted_probed(
         trace,
         policy,
@@ -127,15 +125,14 @@ pub fn run_scheduler_probed<P: Probe>(
         probe,
     );
     sim.install_platform_events(events)?;
-    let result = drive_to_completion(&mut sim, total, backfill);
+    let result = drive_to_completion(&mut sim, backfill);
     Ok((result, sim.into_probe()))
 }
 
 /// The shared driver loop: run any [`BackfillSim`] to completion, applying
 /// the selected heuristic at every decision point.
-pub(crate) fn drive_to_completion<S: crate::state::BackfillSim>(
+pub(crate) fn drive_to_completion<S: BackfillSim>(
     sim: &mut S,
-    cluster_procs: u32,
     backfill: Backfill,
 ) -> ScheduleResult {
     while sim.advance() == SimEvent::BackfillOpportunity {
@@ -152,7 +149,7 @@ pub(crate) fn drive_to_completion<S: crate::state::BackfillSim>(
             }
         }
     }
-    let metrics = Metrics::of(sim.completed(), cluster_procs);
+    let metrics = Metrics::of(sim.completed(), sim.cluster_procs());
     ScheduleResult {
         completed: sim.take_completed(),
         metrics,

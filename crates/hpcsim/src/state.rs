@@ -6,8 +6,8 @@
 //! other queued job would fit, the machine pauses and reports a
 //! [`SimEvent::BackfillOpportunity`] — the decision points at which EASY,
 //! conservative, or the RL agent act. The driver then calls
-//! [`Simulation::backfill`] zero or more times and resumes with
-//! [`Simulation::advance`].
+//! [`BackfillSim::backfill`] zero or more times and resumes with
+//! [`BackfillSim::advance`].
 //!
 //! The machine never takes backfilling decisions itself, which is what lets
 //! heuristics and the learning agent share one simulator (paper §3.4: "RL
@@ -126,8 +126,46 @@ impl std::fmt::Display for BackfillError {
 
 impl std::error::Error for BackfillError {}
 
-/// The decision-point protocol shared by the kernel [`Simulation`] and the
-/// seed [`crate::reference::ReferenceSimulation`].
+/// The decision-point API of both engines: the kernel [`Simulation`] (every
+/// [`ProbedSimulation`]) and the seed
+/// [`crate::reference::ReferenceSimulation`]. Neither engine defines an
+/// inherent method of the same name, so this trait is the one definition
+/// of what a driver (EASY, conservative or the RL agent) reads and does at
+/// a decision point. Call it on a concrete engine with the trait in scope
+/// (it is in [`crate::prelude`]); the impls are on the concrete types, so
+/// calls dispatch statically.
+///
+/// On the kernel engine, the per-partition methods (`free_procs`,
+/// `queue`, `running`, `backfill`, `start_backfill`) act on the **active
+/// partition**, the one the current opportunity is in (the whole machine
+/// on a one-partition cluster).
+///
+/// Required: [`now`](Self::now), [`free_procs`](Self::free_procs),
+/// [`cluster_procs`](Self::cluster_procs), [`policy`](Self::policy),
+/// [`queue`](Self::queue), [`running`](Self::running),
+/// [`advance`](Self::advance), [`backfill`](Self::backfill),
+/// [`start_backfill`](Self::start_backfill),
+/// [`completed`](Self::completed) and
+/// [`take_completed`](Self::take_completed).
+///
+/// Provided:
+/// - [`reserved_job`](Self::reserved_job) and
+///   [`backfill_candidates`](Self::backfill_candidates), derived from
+///   `queue()` and `free_procs()`;
+/// - the run counters [`dropped_jobs`](Self::dropped_jobs),
+///   [`migrations`](Self::migrations), [`kills`](Self::kills),
+///   [`resubmits`](Self::resubmits) and
+///   [`wasted_node_seconds`](Self::wasted_node_seconds), 0 unless the
+///   engine models partitions and platform events (the kernel overrides
+///   them);
+/// - the planning paths [`plan_conservative_starts`](Self::plan_conservative_starts),
+///   [`return_starts`](Self::return_starts) and
+///   [`shadow_extra`](Self::shadow_extra), from scratch unless the engine
+///   keeps persistent planning state (the kernel overrides them);
+/// - the probe hooks [`phase_begin`](Self::phase_begin),
+///   [`phase_end`](Self::phase_end), [`audit_skips`](Self::audit_skips)
+///   and [`audit_mark_reservation_start`](Self::audit_mark_reservation_start),
+///   no-ops unless the engine carries a [`Probe`].
 ///
 /// The EASY and conservative passes are generic over this trait, so the
 /// same backfilling logic drives both engines — which is what makes the
@@ -138,19 +176,30 @@ pub trait BackfillSim {
     fn now(&self) -> f64;
     /// Free processors right now.
     fn free_procs(&self) -> u32;
+    /// Total processors of the machine, across every partition.
+    fn cluster_procs(&self) -> u32;
     /// The base policy driving head-of-queue selection.
     fn policy(&self) -> Policy;
-    /// The waiting queue, priority-sorted; index 0 is the reserved job.
+    /// The waiting queue, sorted by the policy as of the last scheduling
+    /// pass; index 0 is the reserved job during a backfill opportunity.
     fn queue(&self) -> &[Job];
     /// Jobs currently executing.
     fn running(&self) -> &[RunningJob];
-    /// Advances to the next decision point or to completion.
+    /// Advances to the next decision point or to completion of the whole
+    /// trace. On the kernel engine, the lowest-indexed armed partition
+    /// wins and becomes the active partition.
     fn advance(&mut self) -> SimEvent;
-    /// Starts the queued job at `queue_idx` immediately: the start call of
-    /// the heuristic passes. Unlike the engines' own `backfill`, it
-    /// reports no [`BackfillOutcome`]. No heuristic reads the ground-truth
+    /// Starts the queued job at `queue_idx` immediately (a backfill): the
+    /// start call of the RL environment. Reports whether the start pushed
+    /// back the reserved job's ground-truth earliest start, computed from
+    /// *actual* runtimes (the simulator knows the truth even though
+    /// schedulers only see estimates). A rejected call starts nothing.
+    fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError>;
+    /// [`BackfillSim::backfill`] without the [`BackfillOutcome`]: the start
+    /// call of the heuristic passes. No heuristic reads the ground-truth
     /// delay check, so here it is observation work: an engine runs it only
-    /// when a probe counts it ([`Probe::on_backfill_would_delay`]).
+    /// when a probe counts it ([`Probe::on_backfill_would_delay`]). Same
+    /// errors; a rejected call starts nothing.
     fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError>;
     /// Jobs that finished, in completion order.
     fn completed(&self) -> &[CompletedJob];
@@ -158,8 +207,28 @@ pub trait BackfillSim {
     /// empty — for a driver that is done with the engine.
     fn take_completed(&mut self) -> Vec<CompletedJob>;
 
-    /// Jobs set aside as unroutable before the run started (always 0 on
-    /// flat machines — [`swf::Trace::new`] sanitizes against them).
+    /// The reserved job (head of the sorted queue), if any.
+    fn reserved_job(&self) -> Option<&Job> {
+        self.queue().first()
+    }
+
+    /// Queue indices (excluding the reserved head) of jobs that fit the
+    /// free processors — the raw action space at an opportunity.
+    fn backfill_candidates(&self) -> Vec<usize> {
+        let free = self.free_procs();
+        self.queue()
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter(|(_, j)| j.procs <= free)
+            .map(|(i, _)| i)
+            .collect() // simlint: allow(hot-alloc) — RL action-space API returns an owned Vec once per opportunity
+    }
+
+    /// Jobs set aside as unroutable (wider than every partition) before
+    /// the run started: the jobs a [`crate::metrics::Metrics`] over
+    /// [`BackfillSim::completed`] does **not** describe. Always 0 on flat
+    /// machines, which [`swf::Trace::new`] sanitizes against them.
     fn dropped_jobs(&self) -> usize {
         0
     }
@@ -170,28 +239,26 @@ pub trait BackfillSim {
         0
     }
 
-    /// Running jobs killed by platform events so far (always 0 without a
+    /// Running jobs killed by platform events so far: node failures and
+    /// shrinking resizes (always 0 without a
     /// [`crate::platform::PlatformEventSpec`]).
     fn kills(&self) -> usize {
         0
     }
 
-    /// Killed or displaced jobs rerouted back into a queue by platform
-    /// events (always 0 without a platform-event stream).
+    /// Killed or displaced jobs requeued after a platform event (the rest
+    /// count in [`BackfillSim::dropped_jobs`]; always 0 without a
+    /// platform-event stream).
     fn resubmits(&self) -> usize {
         0
     }
 
     /// Node-seconds of work destroyed by platform-event kills, in
-    /// reference-hardware units: the elapsed run under kill-and-resubmit,
-    /// or the restart overhead under checkpoint-restart.
+    /// reference-hardware units: elapsed wall-clock × partition speed ×
+    /// processors under kill-and-resubmit, restart overhead × processors
+    /// under checkpoint-restart.
     fn wasted_node_seconds(&self) -> f64 {
         0.0
-    }
-
-    /// The reserved job (head of the sorted queue), if any.
-    fn reserved_job(&self) -> Option<&Job> {
-        self.queue().first()
     }
 
     /// Runs one conservative *planning* pass: (re-)derives the reservation
@@ -246,148 +313,6 @@ pub trait BackfillSim {
     /// start of a planned conservative reservation, so the audit log
     /// distinguishes on-plan starts from opportunistic backfills.
     fn audit_mark_reservation_start(&mut self) {}
-}
-
-macro_rules! forward_backfill_sim {
-    ($ty:ty) => {
-        fn now(&self) -> f64 {
-            <$ty>::now(self)
-        }
-        fn free_procs(&self) -> u32 {
-            <$ty>::free_procs(self)
-        }
-        fn policy(&self) -> Policy {
-            <$ty>::policy(self)
-        }
-        fn queue(&self) -> &[Job] {
-            <$ty>::queue(self)
-        }
-        fn running(&self) -> &[RunningJob] {
-            <$ty>::running(self)
-        }
-        fn advance(&mut self) -> SimEvent {
-            <$ty>::advance(self)
-        }
-        fn completed(&self) -> &[CompletedJob] {
-            <$ty>::completed(self)
-        }
-        fn dropped_jobs(&self) -> usize {
-            <$ty>::dropped_jobs(self)
-        }
-        fn migrations(&self) -> usize {
-            <$ty>::migrations(self)
-        }
-    };
-}
-
-impl<P: Probe> BackfillSim for ProbedSimulation<P> {
-    forward_backfill_sim!(Self);
-
-    fn kills(&self) -> usize {
-        Self::kills(self)
-    }
-
-    fn resubmits(&self) -> usize {
-        Self::resubmits(self)
-    }
-
-    fn wasted_node_seconds(&self) -> f64 {
-        Self::wasted_node_seconds(self)
-    }
-
-    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
-        self.start_backfill_checked(queue_idx, false).map(drop)
-    }
-
-    fn take_completed(&mut self) -> Vec<CompletedJob> {
-        std::mem::take(&mut self.completed)
-    }
-
-    fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
-        let p = self.active;
-        let mut starts = std::mem::take(&mut self.due_starts);
-        let repair =
-            self.planner
-                .conservative_starts(&self.parts, p, estimator, self.now, &mut starts);
-        if P::ENABLED {
-            if let Some((cause, entries)) = repair {
-                self.probe.record(AuditRecord::PlanRepaired {
-                    t: self.now,
-                    part: p,
-                    cause,
-                    entries,
-                });
-            }
-        }
-        starts
-    }
-
-    fn return_starts(&mut self, starts: Vec<usize>) {
-        self.due_starts = starts;
-    }
-
-    fn shadow_extra(&mut self, estimator: RuntimeEstimator) -> Option<(f64, u32)> {
-        let reserved = *self.queue().first()?;
-        Some(
-            self.planner
-                .shadow_extra(&self.parts, self.active, estimator, self.now, &reserved),
-        )
-    }
-
-    fn phase_begin(&mut self, phase: Phase) {
-        if P::ENABLED {
-            self.probe.span_begin(phase);
-        }
-    }
-
-    fn phase_end(&mut self, phase: Phase) {
-        if P::ENABLED {
-            self.probe.span_end(phase);
-        }
-    }
-
-    fn audit_skips(&mut self, fitting: SkipReason) {
-        if !(P::ENABLED && self.probe.audit_on()) {
-            return;
-        }
-        let Some(part) = self.parts.get(self.active) else {
-            return;
-        };
-        for j in part.queue().iter().skip(1) {
-            let reason = if j.procs > part.free() {
-                SkipReason::InsufficientProcs
-            } else {
-                fitting
-            };
-            self.probe.record(AuditRecord::BackfillSkipped {
-                t: self.now,
-                part: self.active,
-                job: j.id,
-                reason,
-            });
-        }
-    }
-
-    fn audit_mark_reservation_start(&mut self) {
-        if P::ENABLED && self.probe.audit_on() {
-            self.audit_next_reservation = true;
-        }
-    }
-}
-
-// The seed engine keeps the default from-scratch planning paths: it exists
-// to stay byte-equal to the seed behavior, and the kernel engine's
-// incremental planner is differentially tested against it.
-impl BackfillSim for crate::reference::ReferenceSimulation {
-    forward_backfill_sim!(crate::reference::ReferenceSimulation);
-
-    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
-        self.start_backfill_checked(queue_idx, false).map(drop)
-    }
-
-    fn take_completed(&mut self) -> Vec<CompletedJob> {
-        Self::take_completed(self)
-    }
 }
 
 /// A kernel event: what happens at a scheduled instant.
@@ -523,7 +448,7 @@ impl<P: Probe + Default> ProbedSimulation<P> {
     /// `router` assigning each arriving job to a partition at submission.
     /// Jobs wider than the widest partition are unroutable: they are set
     /// aside up front (the same sanitation [`Trace::new`] applies against
-    /// a homogeneous machine) and counted in [`Simulation::dropped_jobs`].
+    /// a homogeneous machine) and counted in [`BackfillSim::dropped_jobs`].
     /// Under [`ReroutePolicy::AtDecisionPoints`], still-waiting jobs are
     /// re-evaluated whenever an arrival/completion batch settles and
     /// migrated to a partition with a strictly earlier estimated start
@@ -620,22 +545,6 @@ impl<P: Probe> ProbedSimulation<P> {
         self.probe
     }
 
-    /// Current simulation time, seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Free processors of the **active partition** right now (the whole
-    /// machine on a one-partition cluster).
-    pub fn free_procs(&self) -> u32 {
-        self.parts[self.active].free // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-    }
-
-    /// Total processors across every partition.
-    pub fn cluster_procs(&self) -> u32 {
-        self.spec.total_procs()
-    }
-
     /// The cluster's shape.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
@@ -652,44 +561,11 @@ impl<P: Probe> ProbedSimulation<P> {
         self.active
     }
 
-    /// The base policy driving head-of-queue selection.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// The active partition's waiting queue, sorted by the policy as of the
-    /// last scheduling pass; index 0 is the reserved job during a backfill
-    /// opportunity.
-    pub fn queue(&self) -> &[Job] {
-        &self.parts[self.active].queue // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-    }
-
-    /// Jobs currently executing on the active partition.
-    pub fn running(&self) -> &[RunningJob] {
-        &self.parts[self.active].running // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-    }
-
-    /// Jobs that finished (across all partitions), in completion order.
-    pub fn completed(&self) -> &[CompletedJob] {
-        &self.completed
-    }
-
     /// Trace jobs set aside as unroutable (wider than every partition) —
-    /// the jobs a [`crate::metrics::Metrics`] over [`Self::completed`]
+    /// the jobs a [`crate::metrics::Metrics`] over [`BackfillSim::completed`]
     /// does **not** describe. Always empty on a flat machine.
     pub fn dropped(&self) -> &[Job] {
         &self.dropped
-    }
-
-    /// Number of unroutable jobs set aside up front.
-    pub fn dropped_jobs(&self) -> usize {
-        self.dropped.len()
-    }
-
-    /// Total queue migrations performed so far (0 unless the simulation
-    /// runs under [`ReroutePolicy::AtDecisionPoints`]).
-    pub fn migrations(&self) -> usize {
-        self.migrations
     }
 
     /// Installs a scenario's dynamic-platform events: materializes `spec`
@@ -713,36 +589,34 @@ impl<P: Probe> ProbedSimulation<P> {
         self.pevents = events;
         Ok(())
     }
+}
 
-    /// Jobs killed by platform events so far (node failures and shrinking
-    /// resizes; always 0 without platform events).
-    pub fn kills(&self) -> usize {
-        self.kills
+impl<P: Probe> BackfillSim for ProbedSimulation<P> {
+    fn now(&self) -> f64 {
+        self.now
     }
 
-    /// Killed or displaced jobs successfully requeued after a platform
-    /// event (the rest are counted through [`Self::dropped_jobs`]).
-    pub fn resubmits(&self) -> usize {
-        self.resubmits
+    fn free_procs(&self) -> u32 {
+        self.parts[self.active].free // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
     }
 
-    /// Node-seconds of work lost to platform-event kills, in
-    /// reference-hardware units (elapsed wall-clock × partition speed ×
-    /// processors under kill-and-resubmit; restart overhead × processors
-    /// under checkpoint-restart).
-    pub fn wasted_node_seconds(&self) -> f64 {
-        self.wasted_node_seconds
+    fn cluster_procs(&self) -> u32 {
+        self.spec.total_procs()
     }
 
-    /// The reserved job (head of the active partition's queue), if any.
-    pub fn reserved_job(&self) -> Option<&Job> {
-        self.queue().first()
+    fn policy(&self) -> Policy {
+        self.policy
     }
 
-    /// Advances the simulation until the next backfilling opportunity (in
-    /// any partition — the lowest-indexed armed one wins, and becomes the
-    /// active partition) or completion of the whole trace.
-    pub fn advance(&mut self) -> SimEvent {
+    fn queue(&self) -> &[Job] {
+        &self.parts[self.active].queue // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+    }
+
+    fn running(&self) -> &[RunningJob] {
+        &self.parts[self.active].running // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+    }
+
+    fn advance(&mut self) -> SimEvent {
         loop {
             if self.apply_due_events() > 0 {
                 // A decision point: the arrival/completion batch settled
@@ -791,31 +665,116 @@ impl<P: Probe> ProbedSimulation<P> {
         }
     }
 
-    /// Queue indices (excluding the reserved head) of active-partition jobs
-    /// that fit its free processors — the raw action space at an
-    /// opportunity.
-    pub fn backfill_candidates(&self) -> Vec<usize> {
-        let part = &self.parts[self.active]; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-        part.queue
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, j)| j.procs <= part.free)
-            .map(|(i, _)| i)
-            .collect() // simlint: allow(hot-alloc) — RL action-space API returns an owned Vec once per opportunity
-    }
-
-    /// Starts the active partition's queued job at `queue_idx` immediately
-    /// (a backfill).
-    ///
-    /// Reports whether the action delayed the reserved job's ground-truth
-    /// earliest start (computed from *actual* runtimes — the simulator
-    /// knows the truth even though schedulers only see estimates).
-    pub fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
+    fn backfill(&mut self, queue_idx: usize) -> Result<BackfillOutcome, BackfillError> {
         let delays_reserved = self.start_backfill_checked(queue_idx, true)?;
         Ok(BackfillOutcome { delays_reserved })
     }
 
+    fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError> {
+        self.start_backfill_checked(queue_idx, false).map(drop)
+    }
+
+    fn completed(&self) -> &[CompletedJob] {
+        &self.completed
+    }
+
+    fn take_completed(&mut self) -> Vec<CompletedJob> {
+        std::mem::take(&mut self.completed)
+    }
+
+    fn dropped_jobs(&self) -> usize {
+        self.dropped.len()
+    }
+
+    fn migrations(&self) -> usize {
+        self.migrations
+    }
+
+    fn kills(&self) -> usize {
+        self.kills
+    }
+
+    fn resubmits(&self) -> usize {
+        self.resubmits
+    }
+
+    fn wasted_node_seconds(&self) -> f64 {
+        self.wasted_node_seconds
+    }
+
+    fn plan_conservative_starts(&mut self, estimator: RuntimeEstimator) -> Vec<usize> {
+        let p = self.active;
+        let mut starts = std::mem::take(&mut self.due_starts);
+        let repair =
+            self.planner
+                .conservative_starts(&self.parts, p, estimator, self.now, &mut starts);
+        if P::ENABLED {
+            if let Some((cause, entries)) = repair {
+                self.probe.record(AuditRecord::PlanRepaired {
+                    t: self.now,
+                    part: p,
+                    cause,
+                    entries,
+                });
+            }
+        }
+        starts
+    }
+
+    fn return_starts(&mut self, starts: Vec<usize>) {
+        self.due_starts = starts;
+    }
+
+    fn shadow_extra(&mut self, estimator: RuntimeEstimator) -> Option<(f64, u32)> {
+        let reserved = *self.queue().first()?;
+        Some(
+            self.planner
+                .shadow_extra(&self.parts, self.active, estimator, self.now, &reserved),
+        )
+    }
+
+    fn phase_begin(&mut self, phase: Phase) {
+        if P::ENABLED {
+            self.probe.span_begin(phase);
+        }
+    }
+
+    fn phase_end(&mut self, phase: Phase) {
+        if P::ENABLED {
+            self.probe.span_end(phase);
+        }
+    }
+
+    fn audit_skips(&mut self, fitting: SkipReason) {
+        if !(P::ENABLED && self.probe.audit_on()) {
+            return;
+        }
+        let Some(part) = self.parts.get(self.active) else {
+            return;
+        };
+        for j in part.queue().iter().skip(1) {
+            let reason = if j.procs > part.free() {
+                SkipReason::InsufficientProcs
+            } else {
+                fitting
+            };
+            self.probe.record(AuditRecord::BackfillSkipped {
+                t: self.now,
+                part: self.active,
+                job: j.id,
+                reason,
+            });
+        }
+    }
+
+    fn audit_mark_reservation_start(&mut self) {
+        if P::ENABLED && self.probe.audit_on() {
+            self.audit_next_reservation = true;
+        }
+    }
+}
+
+impl<P: Probe> ProbedSimulation<P> {
     /// The one backfill start: validates `queue_idx`, runs the
     /// ground-truth delay check when `check` asks for it or the probe
     /// counts it, and starts the job. Returns the check's answer (`false`
@@ -1567,6 +1526,32 @@ mod tests {
         assert_eq!(c1.start, 520.0);
     }
 
+    /// Drives `sim` to its first opportunity on `backfill_error_cases`'s
+    /// trace and checks that `backfill` and `start_backfill` reject the
+    /// same three misuses, that a rejected call starts nothing, and that
+    /// the fitting candidate then starts.
+    fn check_backfill_errors<S: BackfillSim>(mut sim: S) {
+        assert_eq!(sim.advance(), SimEvent::BackfillOpportunity);
+        // Job 2 (queue index 1) needs 2 procs but only 1 is free; job 3
+        // (queue index 2) is the fitting candidate that armed the event.
+        assert_eq!(sim.backfill_candidates(), vec![2]);
+        let (queued, free) = (sim.queue().len(), sim.free_procs());
+        for (idx, err) in [
+            (0, BackfillError::ReservedJob),
+            (9, BackfillError::BadIndex),
+            (1, BackfillError::DoesNotFit),
+        ] {
+            assert_eq!(sim.backfill(idx), Err(err), "backfill({idx})");
+            assert_eq!(sim.start_backfill(idx), Err(err), "start_backfill({idx})");
+            assert_eq!((sim.queue().len(), sim.free_procs()), (queued, free));
+        }
+        assert!(sim.backfill(2).is_ok());
+        assert_eq!(
+            (sim.queue().len(), sim.free_procs()),
+            (queued - 1, free - 1)
+        );
+    }
+
     #[test]
     fn backfill_error_cases() {
         let t = trace(
@@ -1578,15 +1563,8 @@ mod tests {
                 Job::new(3, 21.0, 1, 10.0, 10.0),
             ],
         );
-        let mut sim = Simulation::new(&t, Policy::Fcfs);
-        assert_eq!(sim.advance(), SimEvent::BackfillOpportunity);
-        assert_eq!(sim.backfill(0), Err(BackfillError::ReservedJob));
-        assert_eq!(sim.backfill(9), Err(BackfillError::BadIndex));
-        // Job 2 (queue index 1) needs 2 procs but only 1 is free; job 3
-        // (queue index 2) is the fitting candidate that armed the event.
-        assert_eq!(sim.backfill_candidates(), vec![2]);
-        assert_eq!(sim.backfill(1), Err(BackfillError::DoesNotFit));
-        assert!(sim.backfill(2).is_ok());
+        check_backfill_errors(Simulation::new(&t, Policy::Fcfs));
+        check_backfill_errors(crate::reference::ReferenceSimulation::new(&t, Policy::Fcfs));
     }
 
     #[test]
@@ -1953,7 +1931,7 @@ mod tests {
             Backfill::Conservative(RequestTime),
         ] {
             let mut plain = Simulation::new(&t, Policy::Fcfs);
-            let unprobed = drive_to_completion(&mut plain, procs, backfill);
+            let unprobed = drive_to_completion(&mut plain, backfill);
             assert!(
                 !plain.planner.has_ground_truth(),
                 "{backfill:?}: an unprobed run built the ground-truth profile"
@@ -1966,7 +1944,7 @@ mod tests {
                 ReroutePolicy::AtSubmission,
                 Recorder::default(),
             );
-            let recorded = drive_to_completion(&mut sim, procs, backfill);
+            let recorded = drive_to_completion(&mut sim, backfill);
             assert!(
                 sim.planner.has_ground_truth(),
                 "{backfill:?}: a recorded run skipped the delay check"

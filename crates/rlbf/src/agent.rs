@@ -5,7 +5,7 @@ use crate::env::{BackfillEnv, EnvConfig};
 use crate::nets::BackfillActorCritic;
 use crate::train::TrainResult;
 use desim::Replicator;
-use hpcsim::{AuditRecord, Metrics, Platform, Policy};
+use hpcsim::{AuditRecord, BackfillSim, Metrics, Platform, Policy};
 use serde::{Deserialize, Serialize};
 use swf::Trace;
 

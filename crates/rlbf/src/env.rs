@@ -25,8 +25,8 @@
 
 use crate::obs::{encode_with_skip, ObsConfig, Observation};
 use hpcsim::{
-    run_scheduler_on_rerouted, Backfill, Metrics, Platform, Policy, RuntimeEstimator, SimEvent,
-    Simulation,
+    run_scheduler_on_rerouted, Backfill, BackfillSim, Metrics, Platform, Policy, RuntimeEstimator,
+    SimEvent, Simulation,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;

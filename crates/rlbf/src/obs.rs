@@ -9,7 +9,7 @@
 //! vector** rather than being a separate padded scalar — the paper calls
 //! this out as the key for the kernel network to work.
 
-use hpcsim::Simulation;
+use hpcsim::{BackfillSim, Simulation};
 use serde::{Deserialize, Serialize};
 use swf::Job;
 use tinynn::Matrix;
@@ -63,7 +63,7 @@ pub struct Observation {
     /// Valid-action mask over all rows (job fits and is not reserved; the
     /// skip row is valid iff the environment allows skipping).
     pub mask: Vec<bool>,
-    /// Slot → waiting-queue index (into [`Simulation::queue`]) for action
+    /// Slot → waiting-queue index (into [`BackfillSim::queue`]) for action
     /// execution; `None` for padding and for the skip row.
     pub queue_index: Vec<Option<usize>>,
 }

@@ -24,7 +24,12 @@
 //!   definitions into the hot set.
 //! - `module::name(…)` / bare `name(…)` — resolves to free functions of
 //!   that name.
-//! - Macros (`name!…`), keywords and `#[cfg(test)]` code are skipped.
+//! - Macros (`name!…`), keywords and `#[cfg(test)]` code are skipped. A
+//!   `macro_rules!` body is not followed either: its calls go through
+//!   metavariables that resolve to nothing, and a `fn` it defines would
+//!   show up as a free function of the macro's file. The `macro-fn` rule
+//!   ([`crate::rules::macro_fn`]) therefore reports every `fn` defined in
+//!   a non-test `macro_rules!` body.
 //!
 //! The derived set is committed as `results/hot_set.json` and ratcheted:
 //! a rename/split that changes hot coverage is a visible diff that fails
@@ -610,6 +615,39 @@ mod tests {
         assert!(!names.contains("assert"), "macro bang must be skipped");
         assert!(!names.contains("ok")); // no def named ok
         assert!(!names.contains("secret"), "cfg(test) callers don't count");
+    }
+
+    #[test]
+    fn fns_defined_in_macro_bodies_are_reported() {
+        // The blind spot the `macro-fn` rule closes: the forwarder's calls
+        // resolve to nothing, so `Engine::tick` never turns hot, and the
+        // macro's own `fn advance` is a bogus free-function seed.
+        let src = "struct Engine;\n\
+                   impl Engine { fn tick(&self) {} }\n\
+                   macro_rules! forward { ($ty:ty) => { fn advance(&self) { <$ty>::tick(self) } } }\n\
+                   #[cfg(test)]\n\
+                   mod tests { macro_rules! local { () => { fn nested() {} } } }\n";
+        let sf = SourceFile::parse("crates/hpcsim/src/x.rs", src);
+        let hot = CallGraph::build(std::slice::from_ref(&sf)).hot_set();
+        assert!(!hot.names().contains("tick"), "{:?}", hot.entries);
+        assert!(hot
+            .entries
+            .iter()
+            .any(|e| e.function == "advance" && e.impl_ty.is_none()));
+        let out = crate::check_source("crates/hpcsim/src/x.rs", src);
+        let hits: Vec<_> = out
+            .findings
+            .iter()
+            .filter(|f| f.rule == "macro-fn")
+            .collect();
+        assert_eq!(hits.len(), 1, "{:?}", out.findings);
+        assert_eq!(hits[0].function.as_deref(), Some("advance"));
+        assert_eq!(hits[0].line, 3);
+        // The same file without the macro is clean under the rule.
+        let fixed =
+            "struct Engine;\nimpl Engine { fn tick(&self) {} fn advance(&self) { self.tick() } }\n";
+        let out = crate::check_source("crates/hpcsim/src/x.rs", fixed);
+        assert!(out.findings.iter().all(|f| f.rule != "macro-fn"));
     }
 
     #[test]

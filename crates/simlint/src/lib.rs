@@ -14,6 +14,7 @@
 //! | `time-cast`     | no lossy `as` casts on time values                      | kernel (ratcheted)       |
 //! | `sync-audit`    | shared-mutability machinery is inventoried              | kernel (ratcheted)       |
 //! | `probe-gating`  | probe hooks sit behind `P::ENABLED`                     | kernel                   |
+//! | `macro-fn`      | no `fn` defined inside a `macro_rules!` body            | kernel + swf/rlbf        |
 //! | `hot-set`       | the derived hot set matches `results/hot_set.json`      | repo                     |
 //! | `pin-coverage`  | result pins are referenced; scenario JSON parses        | repo                     |
 //!
@@ -180,6 +181,9 @@ fn check_parsed(sf: &SourceFile, scope: &RuleScope, hot: &HotSet) -> FileOutcome
     if scope.probe_gating {
         apply(rules::probe_gating::check(sf), &mut out);
     }
+    // Every analyzed file: a fn hidden in a macro body is invisible to the
+    // call graph wherever it lives.
+    apply(rules::macro_fn::check(sf), &mut out);
     if scope.hot_alloc {
         apply_ratchet(
             rules::hot_alloc::RULE,

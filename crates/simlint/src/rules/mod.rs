@@ -8,6 +8,7 @@
 
 pub mod float_order;
 pub mod hot_alloc;
+pub mod macro_fn;
 pub mod panic_path;
 pub mod pin_coverage;
 pub mod probe_gating;
