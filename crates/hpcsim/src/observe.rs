@@ -234,6 +234,41 @@ impl RouterStats {
     }
 }
 
+/// One event a counting probe tallies into [`Telemetry`], reported
+/// through [`Probe::count`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Count {
+    /// One event popped off the cluster event heap: arrivals,
+    /// completions, platform events, and the stale completions of killed
+    /// runs.
+    Event {
+        /// Events still pending after the pop.
+        heap_depth: usize,
+    },
+    /// The active partition's queue depth at a reported backfill
+    /// opportunity.
+    QueueDepth(usize),
+    /// A backfill start was attempted; `hit` is whether the job started.
+    Backfill {
+        /// Whether the job started.
+        hit: bool,
+    },
+    /// A backfill start delays the reserved job's ground-truth earliest
+    /// start. The engine runs this check for every backfill start when
+    /// [`Probe::ENABLED`], and otherwise only when the caller asks for the
+    /// outcome.
+    BackfillWouldDelay,
+    /// The reroute pass considered one queued job for migration (and,
+    /// since the probe is enabled, asked the router about it).
+    MigrationCandidate,
+    /// The router proposed a strictly-better placement for a candidate.
+    MigrationProposed,
+    /// A proposed migration was executed.
+    MigrationAccepted,
+    /// A queued job escaped a draining partition via the reroute pass.
+    DrainEvacuated,
+}
+
 /// Observer of the decision-point engine. Every hook defaults to an empty
 /// `#[inline]` body; `ENABLED == false` additionally compiles out the
 /// span bracketing and the end-of-run harvest at the call sites.
@@ -245,39 +280,15 @@ pub trait Probe: std::fmt::Debug + Clone {
     /// [`NoopProbe`].
     const ENABLED: bool = true;
 
-    /// One cluster event executed; `heap_depth` is the pending-event
-    /// count after the pop.
+    /// One counted engine event. Only called when `ENABLED`.
     #[inline]
-    fn on_event(&mut self, _heap_depth: usize) {}
+    fn count(&mut self, _c: Count) {}
 
-    /// The active partition's queue depth at a reported backfill
-    /// opportunity.
+    /// End-of-run harvest of the summed persistent-profile stats and the
+    /// router-cache stats. Set semantics: a later call replaces the
+    /// values.
     #[inline]
-    fn on_queue_depth(&mut self, _depth: usize) {}
-
-    /// A backfill start was attempted; `hit` is whether the job started.
-    #[inline]
-    fn on_backfill(&mut self, _hit: bool) {}
-
-    /// A backfill start delays the reserved job's ground-truth earliest
-    /// start. The engine runs this check for every backfill start when
-    /// `ENABLED`, and otherwise only when the driver asks for the
-    /// outcome.
-    #[inline]
-    fn on_backfill_would_delay(&mut self) {}
-
-    /// The reroute pass considered one queued job for migration (and,
-    /// since the probe is enabled, asked the router about it).
-    #[inline]
-    fn on_migration_candidate(&mut self) {}
-
-    /// The router proposed a strictly-better placement for a candidate.
-    #[inline]
-    fn on_migration_proposed(&mut self) {}
-
-    /// A proposed migration was executed.
-    #[inline]
-    fn on_migration_accepted(&mut self) {}
+    fn harvest(&mut self, _profile: ProfileStats, _router: RouterStats) {}
 
     /// A simulation phase begins.
     #[inline]
@@ -313,19 +324,6 @@ pub trait Probe: std::fmt::Debug + Clone {
     /// when [`Probe::audit_on`] is true.
     #[inline]
     fn on_settle(&mut self, _now: f64, _parts: &[Partition]) {}
-
-    /// A queued job escaped a draining partition via the reroute pass.
-    #[inline]
-    fn on_drain_evacuated(&mut self) {}
-
-    /// End-of-run harvest of the summed persistent-profile stats.
-    /// Idempotent set semantics: a later call replaces the value.
-    #[inline]
-    fn set_profile_stats(&mut self, _stats: ProfileStats) {}
-
-    /// End-of-run harvest of the router-cache stats (set semantics).
-    #[inline]
-    fn set_router_stats(&mut self, _stats: RouterStats) {}
 }
 
 /// The zero-cost default probe.
@@ -358,7 +356,8 @@ pub struct RepairRow {
 /// bytes every committed pin holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Telemetry {
-    /// Cluster events executed (arrivals + completions).
+    /// Events popped off the cluster event heap: arrivals, completions,
+    /// platform events, and the stale completions of killed runs.
     pub events: u64,
     /// Peak pending-event count after any pop.
     pub heap_depth_peak: u64,
@@ -592,7 +591,7 @@ impl Recorder {
     /// Counts the records [`Telemetry`] tallies: plan repairs (cause rows
     /// and `repair_len_hist`), platform events, kills and resubmissions.
     /// Every other record leaves the counters alone.
-    fn count(&mut self, rec: &AuditRecord) {
+    fn tally(&mut self, rec: &AuditRecord) {
         let t = &mut self.telemetry;
         match *rec {
             AuditRecord::PlanRepaired { cause, entries, .. } => {
@@ -619,53 +618,32 @@ use serde::Serialize as _;
 
 impl Probe for Recorder {
     #[inline]
-    fn on_event(&mut self, heap_depth: usize) {
-        let d = heap_depth as u64;
-        self.telemetry.events += 1;
-        self.telemetry.heap_depth_peak = self.telemetry.heap_depth_peak.max(d);
-        self.telemetry.heap_depth_sum += d;
-        self.telemetry.heap_depth_hist.record(d);
-    }
-
-    #[inline]
-    fn on_queue_depth(&mut self, depth: usize) {
-        self.telemetry.queue_depth_hist.record(depth as u64);
-    }
-
-    #[inline]
-    fn on_backfill(&mut self, hit: bool) {
-        self.telemetry.backfill_attempts += 1;
-        self.telemetry.backfill_hits += hit as u64;
-    }
-
-    #[inline]
-    fn on_backfill_would_delay(&mut self) {
-        self.telemetry.backfill_would_delay += 1;
-    }
-
-    #[inline]
-    fn on_migration_candidate(&mut self) {
-        self.telemetry.migration_candidates += 1;
-    }
-
-    #[inline]
-    fn on_migration_proposed(&mut self) {
-        self.telemetry.migrations_proposed += 1;
-    }
-
-    #[inline]
-    fn on_migration_accepted(&mut self) {
-        self.telemetry.migrations_accepted += 1;
+    fn count(&mut self, c: Count) {
+        let t = &mut self.telemetry;
+        match c {
+            Count::Event { heap_depth } => {
+                let d = heap_depth as u64;
+                t.events += 1;
+                t.heap_depth_peak = t.heap_depth_peak.max(d);
+                t.heap_depth_sum += d;
+                t.heap_depth_hist.record(d);
+            }
+            Count::QueueDepth(depth) => t.queue_depth_hist.record(depth as u64),
+            Count::Backfill { hit } => {
+                t.backfill_attempts += 1;
+                t.backfill_hits += hit as u64;
+            }
+            Count::BackfillWouldDelay => t.backfill_would_delay += 1,
+            Count::MigrationCandidate => t.migration_candidates += 1,
+            Count::MigrationProposed => t.migrations_proposed += 1,
+            Count::MigrationAccepted => t.migrations_accepted += 1,
+            Count::DrainEvacuated => t.platform_drain_evacuations += 1,
+        }
     }
 
     #[inline]
     fn record(&mut self, rec: AuditRecord) {
-        self.count(&rec);
-    }
-
-    #[inline]
-    fn on_drain_evacuated(&mut self) {
-        self.telemetry.platform_drain_evacuations += 1;
+        self.tally(&rec);
     }
 
     // Sanctioned wall-clock read: span timing measures the simulator from
@@ -699,19 +677,17 @@ impl Probe for Recorder {
         }
     }
 
-    fn set_profile_stats(&mut self, stats: ProfileStats) {
-        self.telemetry.profile_edge_inserts = stats.edge_inserts;
-        self.telemetry.profile_edge_removes = stats.edge_removes;
-        self.telemetry.earliest_fit_calls = stats.fit_calls;
-        self.telemetry.earliest_fit_buckets_scanned = stats.buckets_scanned;
-        self.telemetry.bucket_scan_hist = stats.scan_hist;
-    }
-
-    fn set_router_stats(&mut self, stats: RouterStats) {
-        self.telemetry.router_candidate_evals = stats.candidate_evals;
-        self.telemetry.router_plan_reuses = stats.plan_reuses;
-        self.telemetry.router_plan_rebuilds = stats.plan_rebuilds;
-        self.telemetry.router_scratch_fallbacks = stats.scratch_fallbacks;
+    fn harvest(&mut self, profile: ProfileStats, router: RouterStats) {
+        let t = &mut self.telemetry;
+        t.profile_edge_inserts = profile.edge_inserts;
+        t.profile_edge_removes = profile.edge_removes;
+        t.earliest_fit_calls = profile.fit_calls;
+        t.earliest_fit_buckets_scanned = profile.buckets_scanned;
+        t.bucket_scan_hist = profile.scan_hist;
+        t.router_candidate_evals = router.candidate_evals;
+        t.router_plan_reuses = router.plan_reuses;
+        t.router_plan_rebuilds = router.plan_rebuilds;
+        t.router_scratch_fallbacks = router.scratch_fallbacks;
     }
 }
 
@@ -752,11 +728,11 @@ mod tests {
     #[test]
     fn telemetry_round_trips_through_json() {
         let mut rec = Recorder::default();
-        rec.on_event(3);
-        rec.on_event(5);
-        rec.on_queue_depth(7);
-        rec.on_backfill(true);
-        rec.on_backfill(false);
+        rec.count(Count::Event { heap_depth: 3 });
+        rec.count(Count::Event { heap_depth: 5 });
+        rec.count(Count::QueueDepth(7));
+        rec.count(Count::Backfill { hit: true });
+        rec.count(Count::Backfill { hit: false });
         for (t, cause, entries) in [
             (1.0, RepairCause::Arrival, 4),
             (2.0, RepairCause::Resort, 9),
@@ -768,12 +744,15 @@ mod tests {
                 entries,
             });
         }
-        rec.set_router_stats(RouterStats {
-            candidate_evals: 10,
-            plan_reuses: 8,
-            plan_rebuilds: 1,
-            scratch_fallbacks: 1,
-        });
+        rec.harvest(
+            ProfileStats::default(),
+            RouterStats {
+                candidate_evals: 10,
+                plan_reuses: 8,
+                plan_rebuilds: 1,
+                scratch_fallbacks: 1,
+            },
+        );
         let t = rec.into_telemetry();
         let back = Telemetry::from_json(&t.to_json_pretty()).unwrap();
         assert_eq!(back, t);
@@ -795,10 +774,10 @@ mod tests {
     #[test]
     fn telemetry_merge_sums_and_maxes() {
         let mut rec1 = Recorder::default();
-        rec1.on_event(10);
+        rec1.count(Count::Event { heap_depth: 10 });
         let mut rec2 = Recorder::default();
-        rec2.on_event(2);
-        rec2.on_event(2);
+        rec2.count(Count::Event { heap_depth: 2 });
+        rec2.count(Count::Event { heap_depth: 2 });
         let mut t = rec1.into_telemetry();
         t.merge(&rec2.into_telemetry());
         assert_eq!(t.events, 3);

@@ -30,7 +30,7 @@
 //! `RunReport.attribution` when a spec opts in); [`AuditLog::explain`]
 //! renders the human narrative behind `scenario explain`.
 
-use super::{Phase, Probe, ProfileStats, Recorder, RepairCause, RouterStats, Telemetry};
+use super::{Count, Probe, ProfileStats, Recorder, RepairCause, RouterStats, Telemetry};
 use crate::cluster::Partition;
 use crate::platform::PlatformEvent;
 use crate::timeline::window_timeline;
@@ -967,56 +967,16 @@ impl Probe for AuditProbe {
         true
     }
 
-    fn on_event(&mut self, heap_depth: usize) {
-        self.recorder.on_event(heap_depth);
+    fn count(&mut self, c: Count) {
+        self.recorder.count(c);
     }
 
-    fn on_queue_depth(&mut self, depth: usize) {
-        self.recorder.on_queue_depth(depth);
-    }
-
-    fn on_backfill(&mut self, hit: bool) {
-        self.recorder.on_backfill(hit);
-    }
-
-    fn on_backfill_would_delay(&mut self) {
-        self.recorder.on_backfill_would_delay();
-    }
-
-    fn on_migration_candidate(&mut self) {
-        self.recorder.on_migration_candidate();
-    }
-
-    fn on_migration_proposed(&mut self) {
-        self.recorder.on_migration_proposed();
-    }
-
-    fn on_migration_accepted(&mut self) {
-        self.recorder.on_migration_accepted();
-    }
-
-    fn span_begin(&mut self, phase: Phase) {
-        self.recorder.span_begin(phase);
-    }
-
-    fn span_end(&mut self, phase: Phase) {
-        self.recorder.span_end(phase);
-    }
-
-    fn span_cancel(&mut self, phase: Phase) {
-        self.recorder.span_cancel(phase);
-    }
-
-    fn set_profile_stats(&mut self, stats: ProfileStats) {
-        self.recorder.set_profile_stats(stats);
-    }
-
-    fn set_router_stats(&mut self, stats: RouterStats) {
-        self.recorder.set_router_stats(stats);
+    fn harvest(&mut self, profile: ProfileStats, router: RouterStats) {
+        self.recorder.harvest(profile, router);
     }
 
     fn record(&mut self, rec: AuditRecord) {
-        self.recorder.count(&rec);
+        self.recorder.tally(&rec);
         // The four records that move a job through the wait state machine.
         match rec {
             AuditRecord::Submitted { t, job, .. } => {
@@ -1069,12 +1029,6 @@ impl Probe for AuditProbe {
             _ => {}
         }
         self.records.push(rec);
-    }
-
-    fn on_drain_evacuated(&mut self) {
-        // The engine's paired `Migrated` record logs the move itself; the
-        // counter is all this hook adds.
-        self.recorder.on_drain_evacuated();
     }
 
     fn on_settle(&mut self, now: f64, parts: &[Partition]) {

@@ -35,7 +35,7 @@ use crate::cluster::{
 };
 use crate::estimator::RuntimeEstimator;
 use crate::observe::audit::{AuditRecord, SkipReason, StartKind};
-use crate::observe::{NoopProbe, Phase, Probe};
+use crate::observe::{Count, NoopProbe, Phase, Probe};
 use crate::plan::Planner;
 use crate::platform::{FailurePolicy, PlatformEvent, PlatformEventSpec};
 use crate::policy::Policy;
@@ -198,7 +198,7 @@ pub trait BackfillSim {
     /// [`BackfillSim::backfill`] without the [`BackfillOutcome`]: the start
     /// call of the heuristic passes. No heuristic reads the ground-truth
     /// delay check, so here it is observation work: an engine runs it only
-    /// when a probe counts it ([`Probe::on_backfill_would_delay`]). Same
+    /// when a probe counts it ([`Count::BackfillWouldDelay`]). Same
     /// errors; a rejected call starts nothing.
     fn start_backfill(&mut self, queue_idx: usize) -> Result<(), BackfillError>;
     /// Jobs that finished, in completion order.
@@ -636,7 +636,8 @@ impl<P: Probe> BackfillSim for ProbedSimulation<P> {
                 self.parts[p].opportunity_armed = false; // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
                 self.active = p;
                 if P::ENABLED {
-                    self.probe.on_queue_depth(self.parts[p].queue.len()); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                    let depth = self.parts[p].queue.len(); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                    self.probe.count(Count::QueueDepth(depth));
                 }
                 return SimEvent::BackfillOpportunity;
             }
@@ -798,7 +799,7 @@ impl<P: Probe> ProbedSimulation<P> {
             Some(&j) => Ok(j),
         };
         if P::ENABLED {
-            self.probe.on_backfill(job.is_ok());
+            self.probe.count(Count::Backfill { hit: job.is_ok() });
         }
         let job = job?;
         // The reserved head exists (`queue_idx` > 0 is in range); the
@@ -810,7 +811,7 @@ impl<P: Probe> ProbedSimulation<P> {
                 .planner
                 .would_delay(&self.parts, self.active, &job, reserved_procs, self.now);
         if P::ENABLED && delays_reserved {
-            self.probe.on_backfill_would_delay();
+            self.probe.count(Count::BackfillWouldDelay);
         }
         self.start_queued(self.active, queue_idx, kind);
         Ok(delays_reserved)
@@ -840,7 +841,9 @@ impl<P: Probe> ProbedSimulation<P> {
         while let Some((_, event)) = self.events.pop_until(deadline) {
             applied += 1;
             if P::ENABLED {
-                self.probe.on_event(self.events.len());
+                self.probe.count(Count::Event {
+                    heap_depth: self.events.len(),
+                });
             }
             match event {
                 ClusterEvent::Arrival(idx) => {
@@ -967,18 +970,19 @@ impl<P: Probe> ProbedSimulation<P> {
             let mut pos = 0;
             // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
             while pos < self.parts[p].queue().len() {
-                let reference = self.parts[p].unscale_job(self.parts[p].queue()[pos]); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
-                                                                                       // No draining partition (this one included) admits jobs, so
-                                                                                       // the job lands on a live target when any admits it;
-                                                                                       // otherwise it stays put until the drain ends or capacity
-                                                                                       // returns.
+                // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
+                let reference = self.parts[p].unscale_job(self.parts[p].queue()[pos]);
+                // No draining partition (this one included) admits jobs, so
+                // the job lands on a live target when any admits it;
+                // otherwise it stays put until the drain ends or capacity
+                // returns.
                 match self.route(&reference) {
                     // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
                     Some(to) if !frozen[to] && to != p => {
                         let job = self.migrate(p, pos, to);
                         if P::ENABLED {
-                            self.probe.on_migration_accepted();
-                            self.probe.on_drain_evacuated();
+                            self.probe.count(Count::MigrationAccepted);
+                            self.probe.count(Count::DrainEvacuated);
                             if self.probe.audit_on() {
                                 self.probe.record(AuditRecord::Migrated {
                                     t: self.now,
@@ -1031,9 +1035,9 @@ impl<P: Probe> ProbedSimulation<P> {
                 let reference = self.parts[p].unscale_job(stored); // simlint: allow(panic-path) — partition index tracked against parts.len(); OOB is corrupted sim state — fail fast
                 let decision = self.router.reroute(&reference, &self.view(), p);
                 if P::ENABLED {
-                    self.probe.on_migration_candidate();
+                    self.probe.count(Count::MigrationCandidate);
                     if decision.is_some() {
-                        self.probe.on_migration_proposed();
+                        self.probe.count(Count::MigrationProposed);
                     }
                 }
                 match decision {
@@ -1042,7 +1046,7 @@ impl<P: Probe> ProbedSimulation<P> {
                         let job = self.migrate(p, pos, d.to);
                         *self.moves.entry(job.id).or_insert(0) += 1;
                         if P::ENABLED {
-                            self.probe.on_migration_accepted();
+                            self.probe.count(Count::MigrationAccepted);
                             if self.probe.audit_on() {
                                 self.probe.record(AuditRecord::Migrated {
                                     t: self.now,
@@ -1377,15 +1381,14 @@ impl<P: Probe> ProbedSimulation<P> {
 
     /// Hands the passive counters of the deep layers (planner profiles,
     /// router plan cache) to the probe. Runs at `Done`; the set-semantics
-    /// hooks make repeated harvests idempotent.
+    /// hook makes repeated harvests idempotent.
     fn harvest_stats(&mut self) {
         if !P::ENABLED {
             return;
         }
         let mut prof = self.planner.profile_stats();
         prof.absorb(&self.router_cache.profile_stats());
-        self.probe.set_profile_stats(prof);
-        self.probe.set_router_stats(self.router_cache.stats());
+        self.probe.harvest(prof, self.router_cache.stats());
     }
 }
 

@@ -604,6 +604,27 @@ mod tests {
     }
 
     #[test]
+    fn trait_methods_belong_to_the_trait_not_its_supertraits() {
+        let sf = SourceFile::parse(
+            "crates/hpcsim/src/x.rs",
+            "pub trait Probe: std::fmt::Debug + Clone { fn count(&mut self) {} }\n\
+             fn advance<P: Probe>(p: &mut P) { Probe::count(p); }\n",
+        );
+        let g = CallGraph::build(std::slice::from_ref(&sf));
+        let hot = g.hot_set();
+        // The default method is labelled `Probe`, not `Debug`, and the
+        // path call resolves to it rather than landing in the bucket.
+        assert!(
+            hot.entries
+                .iter()
+                .any(|e| e.function == "count" && e.impl_ty.as_deref() == Some("Probe")),
+            "{:?}",
+            hot.entries
+        );
+        assert!(!hot.unresolved.contains("count"), "{:?}", hot.unresolved);
+    }
+
+    #[test]
     fn macros_and_cfg_test_are_skipped() {
         let names = hot_names_of(
             "fn advance() { assert!(ok()); }\n\

@@ -178,10 +178,18 @@ struct Scope {
 /// path segment of the type after `for` when present (`impl Router for
 /// EarliestStart` → `EarliestStart`), else the first type path after the
 /// keyword and its generic parameters (`impl<T: Ord> Queue<T>` → `Queue`).
+/// A trait is named by the identifier after `trait`; its supertrait list
+/// (`trait Probe: std::fmt::Debug + Clone`) names other types.
 fn impl_target(h: &[&Tok]) -> Option<String> {
     let kw = h
         .iter()
         .position(|t| t.is_ident("impl") || t.is_ident("trait"))?;
+    if h[kw].is_ident("trait") {
+        return h
+            .get(kw + 1)
+            .filter(|t| t.kind == crate::lexer::TokKind::Ident)
+            .map(|t| t.text.clone());
+    }
     // Prefer the segment after a top-level `for` (generic bounds like
     // `for<'a>` never precede the self type in an impl header).
     let mut start = kw + 1;
