@@ -327,11 +327,7 @@ fn audit_records_or_exit(path: &str) -> Vec<String> {
             std::process::exit(1);
         }
     };
-    let records = match &value {
-        serde::Value::Object(entries) => entries.iter().find(|(k, _)| k == "records"),
-        _ => None,
-    };
-    let Some((_, serde::Value::Array(records))) = records else {
+    let Some(records) = value.get("records").and_then(serde::Value::as_array) else {
         eprintln!("error: {path} has no \"records\" array — not an audit log export?");
         std::process::exit(1);
     };

@@ -227,25 +227,10 @@ fn collect_telemetry(
 /// counters are deterministic, so a re-measured cell is byte-identical.
 fn write_telemetry_rows(rows: &[TelemetryRow]) {
     fn key(row: &serde_json::Value) -> (String, u64, String) {
-        let field = |k: &str| -> serde_json::Value {
-            let serde_json::Value::Object(fields) = row else {
-                return serde_json::Value::Null;
-            };
-            fields
-                .iter()
-                .find(|(name, _)| name == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(serde_json::Value::Null)
-        };
-        let as_str = |v: serde_json::Value| match v {
-            serde_json::Value::String(s) => s,
-            other => serde_json::to_string(&other).unwrap_or_default(),
-        };
-        let jobs = match field("jobs") {
-            serde_json::Value::Number(n) => n.as_f64() as u64,
-            _ => 0,
-        };
-        (as_str(field("trace")), jobs, as_str(field("backfill")))
+        use serde_json::Value;
+        let text = |k: &str| row.get(k).and_then(Value::as_str).unwrap_or_default();
+        let jobs = row.get("jobs").and_then(Value::as_u64).unwrap_or(0);
+        (text("trace").into(), jobs, text("backfill").into())
     }
     let path = results_dir().join("telemetry_scale.json");
     let mut merged: Vec<serde_json::Value> = std::fs::read_to_string(&path)

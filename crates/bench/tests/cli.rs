@@ -42,9 +42,9 @@ fn run_stdout_is_pure_json() {
     let parsed: serde_json::Value = serde_json::from_str(&stdout).unwrap_or_else(|e| {
         panic!("stdout of `scenario run --stdout` is not pure JSON ({e}):\n{stdout}")
     });
-    let serde_json::Value::Array(reports) = parsed else {
-        panic!("--stdout must emit a report array");
-    };
+    let reports = parsed
+        .as_array()
+        .expect("--stdout must emit a report array");
     assert_eq!(reports.len(), 1, "one unseeded spec, one report");
     // The human-facing table still exists — on stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -77,10 +77,7 @@ fn run_out_is_a_file_path_with_its_directories_created() {
     );
     let json = json.expect("the report was written to the --out path verbatim");
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("the report is valid JSON");
-    let serde_json::Value::Object(fields) = parsed else {
-        panic!("an unseeded spec writes one report object");
-    };
-    assert!(fields.iter().any(|(k, _)| k == "label"), "{json}");
+    assert!(parsed.get("label").is_some(), "{json}");
 }
 
 #[test]
@@ -105,27 +102,17 @@ fn trace_subcommand_writes_a_parseable_chrome_trace() {
     let json = std::fs::read_to_string(&out_file).expect("trace file was written");
     let _ = std::fs::remove_file(&out_file);
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace file is valid JSON");
-    let serde_json::Value::Object(entries) = parsed else {
-        panic!("a Chrome trace is a JSON object");
-    };
-    let events = entries
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    let events = parsed
+        .get("traceEvents")
+        .and_then(serde_json::Value::as_array)
         .expect("the trace has a traceEvents array");
-    let serde_json::Value::Array(events) = events else {
-        panic!("traceEvents must be an array");
-    };
     assert!(
         !events.is_empty(),
         "the trace must contain at least one span"
     );
     for key in ["name", "ph", "ts", "dur", "pid", "tid"] {
-        let serde_json::Value::Object(fields) = &events[0] else {
-            panic!("trace events are objects");
-        };
         assert!(
-            fields.iter().any(|(k, _)| k == key),
+            events[0].get(key).is_some(),
             "trace events need the `{key}` field for chrome://tracing"
         );
     }

@@ -13,28 +13,10 @@ use hpcsim::timeline::utilization_timeline;
 use serde::Value;
 use swf::TracePreset;
 
-/// The value under `key` of a JSON object.
-fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
-    let Value::Object(entries) = v else {
-        panic!("expected an object holding {key:?}");
-    };
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("no {key:?} field"))
-}
-
-fn items(v: &Value) -> &[Value] {
-    let Value::Array(items) = v else {
-        panic!("expected an array");
-    };
-    items
-}
-
-fn number(v: &Value) -> f64 {
-    let Value::Number(n) = v else {
-        panic!("expected a number");
+/// The number under `key` of a JSON object.
+fn number(v: &Value, key: &str) -> f64 {
+    let Some(Value::Number(n)) = v.get(key) else {
+        panic!("expected a number under {key:?}");
     };
     n.as_f64()
 }
@@ -58,13 +40,16 @@ fn audit_export_utilization_is_the_schedule_timeline() {
         )
         .expect("an empty event spec installs");
         let export: Value = serde_json::from_str(&probe.into_log().to_json_pretty()).unwrap();
-        let part0 = &items(field(&export, "timeline"))[0];
-        let exported = items(field(part0, "utilization"));
+        let timeline = export.get("timeline").and_then(Value::as_array);
+        let exported = timeline.unwrap()[0]
+            .get("utilization")
+            .and_then(Value::as_array)
+            .expect("partition 0 exports a utilization array");
         let expected = utilization_timeline(&result.completed, 64);
         assert_eq!(exported.len(), expected.len(), "{backfill:?}");
         for (e, s) in exported.iter().zip(&expected) {
-            assert_eq!(number(field(e, "time")).to_bits(), s.time.to_bits());
-            assert_eq!(number(field(e, "busy")), s.busy as f64, "at t={}", s.time);
+            assert_eq!(number(e, "time").to_bits(), s.time.to_bits());
+            assert_eq!(number(e, "busy"), s.busy as f64, "at t={}", s.time);
         }
     }
 }

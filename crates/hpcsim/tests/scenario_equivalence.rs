@@ -440,17 +440,10 @@ fn run_recorded_matches_run_and_traces_every_phase() {
     // one complete ("ph": "X") event per span.
     let json = recorder.chrome_trace_json();
     let parsed: serde_json::Value = serde_json::from_str(&json).expect("trace JSON parses");
-    let serde_json::Value::Object(entries) = parsed else {
-        panic!("chrome trace root must be a JSON object");
-    };
-    let events = entries
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    let events = parsed
+        .get("traceEvents")
+        .and_then(serde_json::Value::as_array)
         .expect("trace has a traceEvents array");
-    let serde_json::Value::Array(events) = events else {
-        panic!("traceEvents must be an array");
-    };
     assert_eq!(events.len(), spans.len());
 }
 

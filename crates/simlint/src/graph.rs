@@ -35,9 +35,9 @@
 //! a rename/split that changes hot coverage is a visible diff that fails
 //! CI until re-blessed with `SIMLINT_BLESS=1` — never a silent hole.
 
-use crate::json::{self, n, obj, s, Value};
-use crate::report::Finding;
+use crate::report::{object, to_pretty_json, Finding};
 use crate::source::SourceFile;
+use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -419,20 +419,20 @@ pub fn bless(root: &Path, hot: &HotSet) -> std::io::Result<()> {
         .entries
         .iter()
         .map(|e| {
-            obj(vec![
-                ("file", s(&e.file)),
-                ("function", s(&e.function)),
-                ("impl", e.impl_ty.as_deref().map(s).unwrap_or(Value::Null)),
+            object(vec![
+                ("file", e.file.to_value()),
+                ("function", e.function.to_value()),
+                ("impl", e.impl_ty.to_value()),
             ])
         })
         .collect();
-    let doc = obj(vec![
-        ("version", n(1)),
-        ("seeds", Value::Arr(SEEDS.iter().map(|p| s(p)).collect())),
-        ("functions", Value::Arr(functions)),
-        ("count", n(hot.entries.len() as u64)),
+    let doc = object(vec![
+        ("version", 1u64.to_value()),
+        ("seeds", SEEDS.to_value()),
+        ("functions", Value::Array(functions)),
+        ("count", hot.entries.len().to_value()),
     ]);
-    std::fs::write(path, json::to_string_pretty(&doc))
+    std::fs::write(path, to_pretty_json(&doc))
 }
 
 struct CommittedHotSet {
@@ -441,10 +441,10 @@ struct CommittedHotSet {
 }
 
 fn parse_hot_set(text: &str) -> Result<CommittedHotSet, String> {
-    let doc = json::parse(text)?;
+    let doc = serde::parse_value(text).map_err(|e| e.0)?;
     let seeds = doc
         .get("seeds")
-        .and_then(Value::as_arr)
+        .and_then(Value::as_array)
         .ok_or("missing `seeds`")?
         .iter()
         .map(|v| v.as_str().map(str::to_string).ok_or("non-string seed"))
@@ -452,7 +452,7 @@ fn parse_hot_set(text: &str) -> Result<CommittedHotSet, String> {
     let mut entries = BTreeSet::new();
     for e in doc
         .get("functions")
-        .and_then(Value::as_arr)
+        .and_then(Value::as_array)
         .ok_or("missing `functions`")?
     {
         entries.insert(HotEntry {

@@ -24,8 +24,8 @@
 //! reported by the engine directly. Re-bless with
 //! `SIMLINT_BLESS=1 cargo run -p simlint -- check` (or `--bless`).
 
-use crate::json::{self, n, obj, s, Value};
-use crate::report::Finding;
+use crate::report::{object, to_pretty_json, Finding};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -199,25 +199,28 @@ pub fn bless(root: &Path, spec: &RatchetSpec, hits: &[AllowedHit]) -> std::io::R
     let entries: Vec<Value> = grouped
         .into_iter()
         .map(|((rule, file, function, pattern), (count, reasons))| {
-            obj(vec![
-                ("rule", s(&rule)),
-                ("file", s(&file)),
-                ("function", s(&function)),
-                ("pattern", s(&pattern)),
-                ("count", n(count)),
-                ("reason", s(&reasons.join("; "))),
+            object(vec![
+                ("rule", rule.to_value()),
+                ("file", file.to_value()),
+                ("function", function.to_value()),
+                ("pattern", pattern.to_value()),
+                ("count", count.to_value()),
+                ("reason", reasons.join("; ").to_value()),
             ])
         })
         .collect();
-    let doc = obj(vec![("version", n(1)), ("entries", Value::Arr(entries))]);
-    std::fs::write(path, json::to_string_pretty(&doc))
+    let doc = object(vec![
+        ("version", 1u64.to_value()),
+        ("entries", Value::Array(entries)),
+    ]);
+    std::fs::write(path, to_pretty_json(&doc))
 }
 
 fn parse_baseline(text: &str, spec: &RatchetSpec) -> Result<BTreeMap<Key, u64>, String> {
-    let doc = json::parse(text)?;
+    let doc = serde::parse_value(text).map_err(|e| e.0)?;
     let entries = doc
         .get("entries")
-        .and_then(Value::as_arr)
+        .and_then(Value::as_array)
         .ok_or("missing `entries` array")?;
     let mut out = BTreeMap::new();
     for e in entries {

@@ -24,12 +24,12 @@
 //! `// simlint: allow(<rule>) — <reason>` on the offending line or the
 //! line above. The ratcheted rules additionally feed the committed
 //! inventories (see [`inventory`]), re-blessed via `SIMLINT_BLESS=1`.
-//! Everything is dependency-free and built on a small hand-rolled Rust
-//! lexer — see `src/lexer.rs` for why.
+//! The analysis is built on a small hand-rolled Rust lexer — see
+//! `src/lexer.rs` for why; JSON is read and written through the vendored
+//! `serde` value tree.
 
 pub mod graph;
 pub mod inventory;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;

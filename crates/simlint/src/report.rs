@@ -1,6 +1,6 @@
 //! Findings and the two output formats (human text, machine JSON).
 
-use crate::json::{n, obj, s, Value};
+use serde::{Serialize, Value};
 
 /// One diagnostic. `line` is 1-based; 0 means "whole file" (used by
 /// pin-coverage, which reasons about files rather than source lines).
@@ -84,43 +84,61 @@ impl Report {
         let findings = sorted
             .iter()
             .map(|f| {
-                obj(vec![
-                    ("file", s(&f.file)),
-                    ("line", n(u64::from(f.line))),
-                    ("rule", s(&f.rule)),
-                    (
-                        "function",
-                        f.function.as_deref().map(s).unwrap_or(Value::Null),
-                    ),
-                    ("message", s(&f.message)),
+                object(vec![
+                    ("file", f.file.to_value()),
+                    ("line", f.line.to_value()),
+                    ("rule", f.rule.to_value()),
+                    ("function", f.function.to_value()),
+                    ("message", f.message.to_value()),
                 ])
             })
             .collect();
-        let doc = obj(vec![
-            ("version", n(1)),
-            ("findings", Value::Arr(findings)),
+        let doc = object(vec![
+            ("version", 1u64.to_value()),
+            ("findings", Value::Array(findings)),
             (
                 "summary",
-                obj(vec![
-                    ("total", n(self.findings.len() as u64)),
-                    ("files_checked", n(self.files_checked as u64)),
-                    ("inventoried", n(self.inventoried as u64)),
-                    ("hot_functions", n(self.hot_functions as u64)),
-                    ("clean", Value::Bool(self.is_clean())),
+                object(vec![
+                    ("total", self.findings.len().to_value()),
+                    ("files_checked", self.files_checked.to_value()),
+                    ("inventoried", self.inventoried.to_value()),
+                    ("hot_functions", self.hot_functions.to_value()),
+                    ("clean", self.is_clean().to_value()),
                 ]),
             ),
         ]);
-        crate::json::to_string_pretty(&doc)
+        to_pretty_json(&doc)
     }
+}
+
+/// A JSON object with its keys sorted, so reports and blessed files are
+/// byte-stable whatever order the fields are listed in.
+pub(crate) fn object(mut entries: Vec<(&str, Value)>) -> Value {
+    entries.sort_by_key(|&(key, _)| key);
+    Value::Object(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// `doc` with 2-space indentation and a trailing newline: the layout of
+/// every file simlint writes.
+pub(crate) fn to_pretty_json(doc: &Value) -> String {
+    let mut out = String::new();
+    serde::write_value(doc, Some(2), 0, &mut out);
+    out.push('\n');
+    out
 }
 
 /// Parses the findings array back out of a JSON report (the `--diff`
 /// baseline path). Accepts exactly what [`Report::to_json`] writes.
 pub fn parse_findings(text: &str) -> Result<Vec<Finding>, String> {
-    let doc = crate::json::parse(text)?;
+    let doc = serde::parse_value(text).map_err(|e| e.0)?;
     let arr = doc
         .get("findings")
-        .and_then(Value::as_arr)
+        .and_then(Value::as_array)
         .ok_or("missing `findings` array")?;
     let mut out = Vec::new();
     for f in arr {
@@ -173,4 +191,19 @@ pub fn new_findings(current: &[Finding], baseline: &[Finding]) -> Vec<Finding> {
     }
     out.sort();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn objects_sort_their_keys_and_files_end_in_a_newline() {
+        let inner = object(vec![("m", true.to_value()), ("b", Value::Null)]);
+        let doc = object(vec![("z", 1u64.to_value()), ("a", inner)]);
+        assert_eq!(
+            to_pretty_json(&doc),
+            "{\n  \"a\": {\n    \"b\": null,\n    \"m\": true\n  },\n  \"z\": 1\n}\n"
+        );
+    }
 }

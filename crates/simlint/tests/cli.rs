@@ -1,7 +1,7 @@
 //! End-to-end CLI tests: exit codes, the JSON report schema, the ratchet
 //! bless flow on a synthetic mini-repo, and the real repo staying clean.
 
-use simlint::json::{self, Value};
+use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -67,9 +67,10 @@ fn json_report_matches_schema() {
         .arg(repo_root())
         .output()
         .unwrap();
-    let doc = json::parse(&String::from_utf8(out.stdout).unwrap()).expect("report parses");
+    let doc = serde_json::from_str::<Value>(&String::from_utf8(out.stdout).unwrap())
+        .expect("report parses");
     assert_eq!(doc.get("version").and_then(Value::as_u64), Some(1));
-    let findings = doc.get("findings").and_then(Value::as_arr).unwrap();
+    let findings = doc.get("findings").and_then(Value::as_array).unwrap();
     let summary = doc.get("summary").unwrap();
     assert_eq!(
         summary.get("total").and_then(Value::as_u64),
@@ -114,8 +115,9 @@ fn violation_exits_one_and_lands_in_the_report() {
         "diagnostic should be file:line-addressed:\n{text}"
     );
     // --out writes the same findings as JSON regardless of --format.
-    let doc = json::parse(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
-    let findings = doc.get("findings").and_then(Value::as_arr).unwrap();
+    let doc =
+        serde_json::from_str::<Value>(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+    let findings = doc.get("findings").and_then(Value::as_array).unwrap();
     assert_eq!(findings.len(), 1);
     assert_eq!(
         findings[0].get("rule").and_then(Value::as_str),

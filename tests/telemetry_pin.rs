@@ -69,18 +69,6 @@ fn telemetry_counters_are_plausible_for_the_table3_workload() {
     assert!(telemetry.backfill_hits > 0, "EASY must backfill something");
 }
 
-/// The value under `key` of one `telemetry_scale.json` row.
-fn field<'a>(row: &'a Value, key: &str) -> &'a Value {
-    let Value::Object(fields) = row else {
-        panic!("telemetry_scale.json rows are objects");
-    };
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("telemetry_scale.json row without {key:?}"))
-}
-
 #[test]
 fn telemetry_scale_10k_cells_reproduce_byte_identically() {
     // The recipe `speed_probe --telemetry` measures: a Lublin-1 preset
@@ -109,12 +97,13 @@ fn telemetry_scale_10k_cells_reproduce_byte_identically() {
         let row = rows
             .iter()
             .find(|row| {
-                field(row, "trace") == &Value::String("Lublin-1".into())
-                    && serde_json::to_string(field(row, "jobs")).unwrap() == "10000"
-                    && field(row, "backfill") == &Value::String(label.into())
+                row.get("trace").and_then(Value::as_str) == Some("Lublin-1")
+                    && row.get("jobs").and_then(Value::as_u64) == Some(10_000)
+                    && row.get("backfill").and_then(Value::as_str) == Some(label)
             })
             .unwrap_or_else(|| panic!("no Lublin-1 10000 {label} cell"));
-        let committed = serde_json::to_string_pretty(field(row, "telemetry")).unwrap();
+        let telemetry = row.get("telemetry").expect("the cell has telemetry");
+        let committed = serde_json::to_string_pretty(telemetry).unwrap();
         assert_eq!(
             rec.telemetry().to_json_pretty(),
             committed,
