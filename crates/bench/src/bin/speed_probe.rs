@@ -20,8 +20,7 @@
 //!
 //! Any other argument is rejected. Repeatable wall-clock numbers (reps,
 //! spread, provenance) come from `crates/benchmark` (`sched-1m`,
-//! `cluster-4p`); the kernel-vs-seed comparison is the `kernel` criterion
-//! bench.
+//! `cluster-4p`).
 
 use bench::{results_dir, write_json, TRACE_SEED};
 use hpcsim::prelude::*;

@@ -25,8 +25,8 @@ use crate::state::BackfillSim;
 /// jobs backfilled.
 ///
 /// Generic over [`BackfillSim`], so the same pass drives the kernel
-/// [`crate::state::Simulation`] and the seed
-/// [`crate::reference::ReferenceSimulation`]. The simulation must be
+/// [`crate::state::Simulation`] and the test-only seed engine
+/// `reference::ReferenceSimulation`. The simulation must be
 /// paused at a [`crate::state::SimEvent::BackfillOpportunity`].
 pub fn easy_pass<S: BackfillSim>(sim: &mut S, estimator: RuntimeEstimator) -> usize {
     let order = sim.policy();

@@ -55,7 +55,8 @@ pub mod plan;
 pub mod platform;
 pub mod policy;
 pub mod profile;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod runner;
 pub mod scenario;
 pub mod state;

@@ -5,15 +5,15 @@
 //! completion and the arrival list for the next submission (`O(running)`
 //! per event, `O(events × running)` per schedule). The production
 //! [`crate::state::Simulation`] replaced these scans with the `desim`
-//! event kernel; this module preserves the old engine byte-for-byte so
-//!
-//! * the equivalence property suite (`tests/event_equivalence.rs`) can
-//!   assert the kernel port produces *identical* schedules, and
-//! * the `kernel` criterion bench can quantify the speedup.
+//! event kernel; this module preserves the old engine byte-for-byte so the
+//! equivalence suite ([`equivalence`]) can assert the kernel port produces
+//! *identical* schedules. It is compiled for tests only.
 //!
 //! The decision-point protocol is the same as [`crate::state::Simulation`];
 //! see that module's docs. Do not grow features here — it exists to stay
 //! equal to the seed behavior.
+
+mod equivalence;
 
 use crate::policy::Policy;
 use crate::state::{
@@ -252,9 +252,8 @@ impl ReferenceSimulation {
 }
 
 /// Schedules `trace` to completion with the reference engine — the seed's
-/// `run_scheduler` for the `None` backfill case, used by benches and the
-/// equivalence suite. Heuristic passes work on the reference engine through
-/// [`run_scheduler_reference`].
+/// `run_scheduler` for the `None` backfill case. Heuristic passes work on
+/// the reference engine through [`run_scheduler_reference`].
 pub fn run_reference_no_backfill(trace: &Trace, policy: Policy) -> Vec<CompletedJob> {
     let mut sim = ReferenceSimulation::new(trace, policy);
     while sim.advance() != SimEvent::Done {}
@@ -264,9 +263,9 @@ pub fn run_reference_no_backfill(trace: &Trace, policy: Policy) -> Vec<Completed
 /// The seed's availability profile: an *unsorted* `(time, delta)` list that
 /// re-sums itself on every query — `O(n)` per `avail_at`, `O(n²)` per
 /// `earliest_fit`. Preserved (together with [`naive_easy_pass`] /
-/// [`naive_conservative_pass`]) so the `kernel` bench measures the true
-/// seed cost model, not just the engine loop. The production replacement
-/// is the sorted sweep in [`crate::profile::AvailabilityProfile`].
+/// [`naive_conservative_pass`]) as the seed's own pass logic, which the
+/// equivalence suite holds to the kernel's schedules. The production
+/// replacement is the sorted sweep in [`crate::profile::AvailabilityProfile`].
 #[derive(Debug, Clone)]
 pub struct NaiveAvailabilityProfile {
     now: f64,
@@ -346,9 +345,8 @@ impl NaiveAvailabilityProfile {
 }
 
 /// The seed EASY pass, verbatim logic over [`NaiveAvailabilityProfile`].
-/// Kept only as the benchmark baseline; production code uses
-/// [`crate::easy::easy_pass`]. Equivalence of the two is pinned by
-/// `tests/event_equivalence.rs`.
+/// Production code uses [`crate::easy::easy_pass`]. Equivalence of the two
+/// is pinned by [`equivalence`].
 pub fn naive_easy_pass(
     sim: &mut ReferenceSimulation,
     estimator: crate::estimator::RuntimeEstimator,
@@ -401,8 +399,8 @@ pub fn naive_easy_pass(
     backfilled
 }
 
-/// The seed conservative pass over [`NaiveAvailabilityProfile`]; benchmark
-/// baseline for [`crate::conservative::conservative_pass`].
+/// The seed conservative pass over [`NaiveAvailabilityProfile`]; the seed
+/// counterpart of [`crate::conservative::conservative_pass`].
 pub fn naive_conservative_pass(
     sim: &mut ReferenceSimulation,
     estimator: crate::estimator::RuntimeEstimator,
@@ -439,7 +437,7 @@ pub fn naive_conservative_pass(
 /// [`crate::run_scheduler`] on the preserved seed stepping engine
 /// ([`ReferenceSimulation`]) with the shared backfilling passes — the
 /// differential-testing oracle. Same inputs, same schedule (pinned by
-/// `tests/event_equivalence.rs`), linear-scan time advancement.
+/// [`equivalence`]), linear-scan time advancement.
 pub fn run_scheduler_reference(
     trace: &Trace,
     policy: Policy,
@@ -450,8 +448,8 @@ pub fn run_scheduler_reference(
 }
 
 /// The full seed cost model: reference engine + naive profile + seed pass
-/// logic. This is what "the seed implementation" means in the `kernel`
-/// bench and the committed speedup numbers.
+/// logic. This is what "the seed implementation" means in the speedup
+/// table of ARCHITECTURE.md's "Performance" section.
 pub fn run_seed_scheduler(
     trace: &Trace,
     policy: Policy,
@@ -488,7 +486,6 @@ pub fn run_seed_scheduler(
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 

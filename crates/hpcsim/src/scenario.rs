@@ -195,7 +195,7 @@ impl Platform {
 /// The simulation engine a spec names. Every scenario runs on the `desim`
 /// event kernel; the field stays in the spec so committed spec and report
 /// files keep their `"engine": "Kernel"` bytes. The preserved seed engines
-/// are differential oracles in [`crate::reference`], not scenario inputs.
+/// are test-only differential oracles (`reference`), not scenario inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Engine {
     /// The production `desim` event-kernel engine.

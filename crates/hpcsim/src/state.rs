@@ -16,7 +16,7 @@
 //! # Event-kernel internals
 //!
 //! Time no longer advances by scanning job vectors for minima (the seed
-//! implementation, preserved as [`crate::reference::ReferenceSimulation`]).
+//! implementation, preserved for tests as `reference::ReferenceSimulation`).
 //! Job arrivals and completions are events on a [`desim::EventQueue`]: the
 //! next instant is a heap peek, arrivals are a chained event stream (one
 //! pending arrival event at a time, so the heap stays `O(running)` deep),
@@ -26,9 +26,8 @@
 //! driver backfills.
 //!
 //! Equivalence with the reference engine (identical realized schedules for
-//! every policy × backfill combination) is pinned by
-//! `tests/event_equivalence.rs`; throughput is compared by the `kernel`
-//! criterion bench.
+//! every policy × backfill combination) is pinned by the
+//! `reference::equivalence` unit tests.
 
 use crate::cluster::{
     ClusterSpec, ClusterView, Partition, ReroutePolicy, Router, RouterPlanCache, StaticAffinity,
@@ -127,8 +126,8 @@ impl std::fmt::Display for BackfillError {
 impl std::error::Error for BackfillError {}
 
 /// The decision-point API of both engines: the kernel [`Simulation`] (every
-/// [`ProbedSimulation`]) and the seed
-/// [`crate::reference::ReferenceSimulation`]. Neither engine defines an
+/// [`ProbedSimulation`]) and the test-only seed engine
+/// `reference::ReferenceSimulation`. Neither engine defines an
 /// inherent method of the same name, so this trait is the one definition
 /// of what a driver (EASY, conservative or the RL agent) reads and does at
 /// a decision point. Call it on a concrete engine with the trait in scope
@@ -169,7 +168,7 @@ impl std::error::Error for BackfillError {}
 ///
 /// The EASY and conservative passes are generic over this trait, so the
 /// same backfilling logic drives both engines — which is what makes the
-/// differential tests in `tests/event_equivalence.rs` meaningful: any
+/// differential tests in `reference::equivalence` meaningful: any
 /// schedule difference is attributable to the engine, not the heuristic.
 pub trait BackfillSim {
     /// Current simulation time, seconds.
@@ -1965,7 +1964,7 @@ mod tests {
     #[test]
     fn matches_reference_engine_without_backfilling() {
         // Spot-check against the preserved seed engine (the full sweep
-        // lives in tests/event_equivalence.rs).
+        // lives in `reference::equivalence`).
         let t = swf::TracePreset::SdscSp2.generate(400, 17);
         let kernel = run_no_backfill(Simulation::new(&t, Policy::Fcfs));
         let seed = crate::reference::run_reference_no_backfill(&t, Policy::Fcfs);

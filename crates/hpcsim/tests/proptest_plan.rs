@@ -199,31 +199,4 @@ proptest! {
         prop_assert_eq!(inc.dropped_jobs(), scr.dropped_jobs());
         prop_assert_eq!(schedule(&inc), schedule(&scr));
     }
-
-    /// The flat one-partition machine stays pinned to the seed reference
-    /// engine under the incremental planner (conservative and EASY).
-    #[test]
-    fn flat_machine_stays_pinned_to_reference_engine(case in arb_case()) {
-        for backfill in [
-            Backfill::Conservative(case.estimator),
-            Backfill::Easy(case.estimator),
-        ] {
-            let kernel = run_scheduler(&case.trace, case.policy, backfill);
-            let reference = hpcsim::reference::run_scheduler_reference(
-                &case.trace,
-                case.policy,
-                backfill,
-            );
-            let key = |r: &ScheduleResult| {
-                let mut s: Vec<(usize, u64)> = r
-                    .completed
-                    .iter()
-                    .map(|c| (c.job.id, c.start.to_bits()))
-                    .collect();
-                s.sort_unstable();
-                s
-            };
-            prop_assert_eq!(key(&kernel), key(&reference));
-        }
-    }
 }

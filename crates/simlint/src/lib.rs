@@ -97,11 +97,8 @@ fn scope_for(rel_path: &str) -> Option<RuleScope> {
     // Probe trait definitions (and their no-op impls) are the callee side
     // of the gating contract, not call sites.
     let probe_def = rel_path.ends_with("/probe.rs");
-    // The reference simulation is the deliberately-naïve from-scratch
-    // oracle the equivalence suite compares against; the audit layer is
-    // cold by construction (guarded by `audit_on`). Holding either
-    // to hot-path discipline would optimize the yardstick.
-    let cold = observe || rel_path.contains("audit") || rel_path.ends_with("/reference.rs");
+    // The audit layer is cold by construction (guarded by `audit_on`).
+    let cold = observe || rel_path.contains("audit");
     // The sanctioned sync module: desim's replicated-run machinery today,
     // `desim/src/sync/` once the threadsafe split lands.
     let sanctioned_sync = rel_path == "crates/desim/src/replicate.rs"
@@ -276,7 +273,8 @@ pub fn check_repo(root: &Path, bless: bool) -> std::io::Result<Report> {
     }
     paths.sort();
 
-    let mut files: Vec<(SourceFile, RuleScope)> = Vec::new();
+    let mut files: Vec<SourceFile> = Vec::new();
+    let mut scopes: Vec<RuleScope> = Vec::new();
     for path in paths {
         let rel = path
             .strip_prefix(root)
@@ -287,8 +285,10 @@ pub fn check_repo(root: &Path, bless: bool) -> std::io::Result<Report> {
             continue;
         };
         let content = std::fs::read_to_string(&path)?;
-        files.push((SourceFile::parse(&rel, &content), scope));
+        files.push(SourceFile::parse(&rel, &content));
+        scopes.push(scope);
     }
+    source::mark_cfg_test_files(&mut files);
 
     // Pass 2: the call graph spans the kernel crates (all files at once,
     // so a kernel fn called only from another file is still hot). The
@@ -297,7 +297,6 @@ pub fn check_repo(root: &Path, bless: bool) -> std::io::Result<Report> {
     // crates (`.step()`, `.len()`) would only pollute the ratchet.
     let sfs: Vec<&SourceFile> = files
         .iter()
-        .map(|(sf, _)| sf)
         .filter(|sf| {
             sf.rel_path.starts_with("crates/desim/src/")
                 || sf.rel_path.starts_with("crates/hpcsim/src/")
@@ -309,7 +308,7 @@ pub fn check_repo(root: &Path, bless: bool) -> std::io::Result<Report> {
 
     // Pass 3: rules per file.
     let mut allowed: Vec<AllowedHit> = Vec::new();
-    for (sf, scope) in &files {
+    for (sf, scope) in files.iter().zip(&scopes) {
         let mut outcome = check_parsed(sf, scope, &hot);
         report.findings.append(&mut outcome.findings);
         allowed.append(&mut outcome.allowed);

@@ -8,7 +8,9 @@
 //!   and a definition id into [`SourceFile::defs`]),
 //! - the innermost `impl`/`trait` type, so `fn route` on `EarliestStart`
 //!   and `fn route` on `LeastLoaded` are distinct definitions,
-//! - whether it sits inside a `#[cfg(test)] mod … { }` block,
+//! - whether it sits inside a `#[cfg(test)] mod … { }` block, or in a
+//!   file that a `#[cfg(test)] mod name;` declares (see
+//!   [`mark_cfg_test_files`]),
 //! - whether it is guarded by an `ENABLED` conditional: an enclosing
 //!   `if …ENABLED… { }` block, a preceding `if !…ENABLED… { return…; }`
 //!   early-out in the same scope, or `ENABLED` mentioned in the same
@@ -42,7 +44,7 @@ pub struct CodeTok {
     pub in_fn: Option<String>,
     /// Index into [`SourceFile::defs`] of that innermost function.
     pub fn_def: Option<usize>,
-    /// Inside a `#[cfg(test)] mod` block.
+    /// Inside a `#[cfg(test)] mod` block or a test-only file.
     pub in_cfg_test: bool,
     /// Guarded by an `ENABLED` condition (see module docs).
     pub enabled_gated: bool,
@@ -69,6 +71,9 @@ pub struct SourceFile {
     pub allows: Vec<AllowDirective>,
     /// Every named `fn` definition, in source order.
     pub defs: Vec<FnDefSite>,
+    /// Modules this file declares out of line under `#[cfg(test)]`
+    /// (`#[cfg(test)] mod name;`, or any `mod name;` inside a test module).
+    pub cfg_test_mods: Vec<String>,
     /// Lines that hold only a comment (used to extend allow coverage to
     /// the following line).
     comment_only_lines: std::collections::BTreeSet<u32>,
@@ -104,12 +109,13 @@ impl SourceFile {
             .filter(|l| !code_lines.contains(l))
             .collect();
 
-        let (code, defs) = annotate(&code_toks);
+        let (code, defs, cfg_test_mods) = annotate(&code_toks);
         SourceFile {
             rel_path: rel_path.to_string(),
             code,
             allows,
             defs,
+            cfg_test_mods,
             comment_only_lines,
         }
     }
@@ -125,6 +131,38 @@ impl SourceFile {
         })?;
         d.used.set(true);
         Some(d)
+    }
+}
+
+/// Marks every file of a module declared by `#[cfg(test)] mod name;` as
+/// test code throughout: `name.rs` or `name/mod.rs` beside the declaring
+/// file, and every file under `name/` (its children).
+pub fn mark_cfg_test_files(files: &mut [SourceFile]) {
+    let modules: Vec<String> = files
+        .iter()
+        .flat_map(|sf| {
+            let (dir, file) = sf.rel_path.rsplit_once('/').unwrap_or(("", &sf.rel_path));
+            // Children of `lib.rs`/`main.rs`/`mod.rs` sit beside it; those
+            // of `a.rs` sit in `a/`.
+            let own_dir = match file {
+                "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+                _ => format!("{dir}/{}", file.trim_end_matches(".rs")),
+            };
+            sf.cfg_test_mods
+                .iter()
+                .map(move |name| format!("{own_dir}/{name}"))
+        })
+        .collect();
+    for sf in files {
+        let test_only = modules.iter().any(|m| {
+            sf.rel_path
+                .strip_prefix(m.as_str())
+                .is_some_and(|rest| rest == ".rs" || rest.starts_with('/'))
+        });
+        if test_only {
+            sf.code.iter_mut().for_each(|ct| ct.in_cfg_test = true);
+            sf.defs.iter_mut().for_each(|d| d.in_cfg_test = true);
+        }
     }
 }
 
@@ -227,9 +265,10 @@ fn impl_target(h: &[&Tok]) -> Option<String> {
 }
 
 /// The single structural pass: brace matching plus statement tracking.
-fn annotate(toks: &[Tok]) -> (Vec<CodeTok>, Vec<FnDefSite>) {
+fn annotate(toks: &[Tok]) -> (Vec<CodeTok>, Vec<FnDefSite>, Vec<String>) {
     let mut out: Vec<CodeTok> = Vec::with_capacity(toks.len());
     let mut defs: Vec<FnDefSite> = Vec::new();
+    let mut cfg_test_mods: Vec<String> = Vec::new();
     let mut stack: Vec<Scope> = Vec::new();
     // Tokens since the last statement boundary (`;`, `{`, `}`): the
     // "header" that classifies the next `{`, and the current statement
@@ -341,8 +380,20 @@ fn annotate(toks: &[Tok]) -> (Vec<CodeTok>, Vec<FnDefSite>) {
                 stmt_start = out.len();
             }
             TokKind::Punct(';') => {
+                if pending_cfg_test || stack.iter().any(|s| s.cfg_test_mod) {
+                    let name = header
+                        .iter()
+                        .position(|&j| toks[j].is_ident("mod"))
+                        .and_then(|k| header.get(k + 1))
+                        .map(|&j| &toks[j])
+                        .filter(|n| n.kind == TokKind::Ident);
+                    if let Some(name) = name {
+                        cfg_test_mods.push(name.text.clone());
+                    }
+                }
                 out.push(make(t, &stack));
                 backfill_stmt(&mut out, stmt_start);
+                pending_cfg_test = false;
                 header.clear();
                 stmt_start = out.len();
             }
@@ -364,7 +415,7 @@ fn annotate(toks: &[Tok]) -> (Vec<CodeTok>, Vec<FnDefSite>) {
         }
     }
     backfill_stmt(&mut out, stmt_start);
-    (out, defs)
+    (out, defs, cfg_test_mods)
 }
 
 #[cfg(test)]
@@ -403,6 +454,34 @@ mod tests {
         );
         assert!(!code_at(&sf, "a").in_cfg_test);
         assert!(code_at(&sf, "b").in_cfg_test);
+    }
+
+    #[test]
+    fn cfg_test_mod_declared_file_is_test_code() {
+        let mut files = vec![
+            SourceFile::parse(
+                "crates/hpcsim/src/lib.rs",
+                "#[cfg(test)]\nmod oracle;\npub mod live;\nfn advance() { step(); }",
+            ),
+            SourceFile::parse("crates/hpcsim/src/live.rs", "pub fn step() { a(); }"),
+            SourceFile::parse(
+                "crates/hpcsim/src/oracle.rs",
+                "mod suite;\npub fn step() { b(); }",
+            ),
+            SourceFile::parse("crates/hpcsim/src/oracle/suite.rs", "fn check() { c(); }"),
+        ];
+        assert_eq!(files[0].cfg_test_mods, ["oracle"]);
+        mark_cfg_test_files(&mut files);
+        assert!(!code_at(&files[1], "a").in_cfg_test);
+        assert!(code_at(&files[2], "b").in_cfg_test);
+        assert!(code_at(&files[3], "c").in_cfg_test);
+        assert!(files[2].defs.iter().all(|d| d.in_cfg_test));
+        // `advance` seeds the hot set, and its bare `step()` call reaches
+        // every free `step`; only the release one stays hot.
+        let hot = crate::graph::CallGraph::build(&files).hot_set();
+        let hot_files: Vec<&str> = hot.entries.iter().map(|e| e.file.as_str()).collect();
+        assert!(hot_files.contains(&"crates/hpcsim/src/live.rs"));
+        assert!(!hot_files.contains(&"crates/hpcsim/src/oracle.rs"));
     }
 
     #[test]
